@@ -180,6 +180,14 @@ cargo test -q --test law_validation
 cargo test -q -p c2-speedup
 cargo test -q -p c2-runner --lib screen::
 
+echo "== simulator cost model: engine equivalence (DESIGN.md SS16) =="
+# The event-driven engine must reproduce the lock-step golden bit for
+# bit, and every golden that runs the simulator must stay unchanged.
+cargo test -q -p c2-sim --test engine_equivalence
+cargo test -q -p c2-sim -p c2-camat
+cargo test -q --test phase_accuracy
+cargo test -q --test law_validation
+
 echo "== surrogate screening smoke (screened vs full, quick.json) =="
 # A screened sweep must stay under the scenario's true-evaluation
 # budget and still report a chosen design; the full run is the

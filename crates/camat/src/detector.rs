@@ -17,7 +17,9 @@
 //! Two driving styles:
 //!
 //! * **counts API** (the fast path used by `c2-sim`):
-//!   [`CamatDetector::observe_cycle_counts`] + [`CamatDetector::miss_begins`];
+//!   [`CamatDetector::observe_cycle_counts`] + [`CamatDetector::miss_begins`],
+//!   with [`CamatDetector::observe_cycle_counts_n`] settling a run of
+//!   cycles with unchanged counts in O(1);
 //! * **slice API** ([`CamatDetector::observe_cycle`]) taking the explicit
 //!   outstanding-miss id list each cycle — used by the test-oracle
 //!   replay of timelines, where a miss's outstanding window is inferred
@@ -88,22 +90,37 @@ impl CamatDetector {
     /// * `outstanding_misses` — number of misses currently outstanding.
     #[inline]
     pub fn observe_cycle_counts(&mut self, hits_in_flight: u32, outstanding_misses: u32) {
-        self.cycles_seen += 1;
+        self.observe_cycle_counts_n(hits_in_flight, outstanding_misses, 1);
+    }
+
+    /// Feed `cycles` consecutive cycles that all saw the same aggregate
+    /// counts, in closed form: the detector ends in exactly the state
+    /// `cycles` calls of [`CamatDetector::observe_cycle_counts`] would
+    /// leave it in. The simulator settles a core's memory-stalled
+    /// cycles this way, so its cost follows events rather than cycles.
+    #[inline]
+    pub fn observe_cycle_counts_n(
+        &mut self,
+        hits_in_flight: u32,
+        outstanding_misses: u32,
+        cycles: u64,
+    ) {
+        self.cycles_seen += cycles;
         let has_hit = hits_in_flight > 0;
         let has_miss = outstanding_misses > 0;
         if has_hit {
-            self.hit_active_cycles += 1;
-            self.hit_access_cycles += hits_in_flight as u64;
+            self.hit_active_cycles += cycles;
+            self.hit_access_cycles += hits_in_flight as u64 * cycles;
         }
         if has_miss && !has_hit {
-            // Pure-miss cycle: every outstanding miss accrues one pure
-            // cycle (MCD = HCD's "no hit" signal + MSHR occupancy).
-            self.pure_miss_cycles += 1;
-            self.pure_miss_access_cycles += outstanding_misses as u64;
-            self.pure_epoch += 1;
+            // Pure-miss cycles: every outstanding miss accrues one pure
+            // cycle each (MCD = HCD's "no hit" signal + MSHR occupancy).
+            self.pure_miss_cycles += cycles;
+            self.pure_miss_access_cycles += outstanding_misses as u64 * cycles;
+            self.pure_epoch += cycles;
         }
         if has_hit || has_miss {
-            self.memory_active_cycles += 1;
+            self.memory_active_cycles += cycles;
         }
     }
 

@@ -1,4 +1,9 @@
 //! Set-associative cache array with true-LRU replacement and banking.
+//!
+//! Ways are allocated per set on first touch: a set that has never had
+//! a line installed owns no storage, so building a large cache costs
+//! nothing until a run actually uses it (an N = 512 design point's
+//! 64 MiB L2 sees a few thousand distinct lines per evaluation).
 
 use crate::config::CacheConfig;
 
@@ -29,6 +34,11 @@ pub struct CacheArray {
     ways: usize,
     banks: usize,
     line_size: u64,
+    /// Per set: 0 until the set's first install, then 1 + the index of
+    /// its block of `ways` entries in `data`. Zero-filled, so the
+    /// allocator can hand out untouched pages.
+    slots: Vec<u32>,
+    /// The way blocks of touched sets, in first-touch order.
     data: Vec<Way>,
     clock: u64,
     // Statistics
@@ -41,13 +51,13 @@ pub struct CacheArray {
 impl CacheArray {
     /// Build from a validated configuration.
     pub fn new(config: &CacheConfig) -> Self {
-        let sets = config.sets();
         CacheArray {
-            sets,
+            sets: config.sets(),
             ways: config.associativity,
             banks: config.banks,
             line_size: config.line_size,
-            data: vec![Way::default(); sets * config.associativity],
+            slots: vec![0; config.sets()],
+            data: Vec::new(),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -59,6 +69,27 @@ impl CacheArray {
     #[inline]
     fn set_index(&self, line: u64) -> usize {
         (line as usize) & (self.sets - 1)
+    }
+
+    /// The set index and tag of a line.
+    #[inline]
+    fn locate(&self, line: u64) -> (usize, u64) {
+        (self.set_index(line), line / self.sets as u64)
+    }
+
+    /// Where the ways of `set` live in `data`, or `None` if the set was
+    /// never installed into.
+    #[inline]
+    fn ways_of(&self, set: usize) -> Option<std::ops::Range<usize>> {
+        let slot = self.slots[set] as usize;
+        (slot > 0).then(|| (slot - 1) * self.ways..slot * self.ways)
+    }
+
+    /// The resident way holding `tag` in `set`, if any.
+    #[inline]
+    fn find_mut(&mut self, set: usize, tag: u64) -> Option<&mut Way> {
+        let ways = self.ways_of(set)?;
+        self.data[ways].iter_mut().find(|w| w.valid && w.tag == tag)
     }
 
     /// Which bank services this line (line-interleaved).
@@ -75,33 +106,30 @@ impl CacheArray {
 
     /// Probe without updating replacement state or statistics.
     pub fn probe(&self, line: u64) -> LookupResult {
-        let set = self.set_index(line);
-        let tag = line / self.sets as u64;
-        let base = set * self.ways;
-        for w in &self.data[base..base + self.ways] {
-            if w.valid && w.tag == tag {
-                return LookupResult::Hit;
-            }
+        let (set, tag) = self.locate(line);
+        let resident = self
+            .ways_of(set)
+            .is_some_and(|ways| self.data[ways].iter().any(|w| w.valid && w.tag == tag));
+        if resident {
+            LookupResult::Hit
+        } else {
+            LookupResult::Miss
         }
-        LookupResult::Miss
     }
 
     /// Access (lookup + LRU update + stats). `write` marks the line dirty
     /// on a hit.
     pub fn access(&mut self, line: u64, write: bool) -> LookupResult {
         self.clock += 1;
-        let set = self.set_index(line);
-        let tag = line / self.sets as u64;
-        let base = set * self.ways;
-        for w in &mut self.data[base..base + self.ways] {
-            if w.valid && w.tag == tag {
-                w.last_used = self.clock;
-                if write {
-                    w.dirty = true;
-                }
-                self.hits += 1;
-                return LookupResult::Hit;
+        let (set, tag) = self.locate(line);
+        let clock = self.clock;
+        if let Some(w) = self.find_mut(set, tag) {
+            w.last_used = clock;
+            if write {
+                w.dirty = true;
             }
+            self.hits += 1;
+            return LookupResult::Hit;
         }
         self.misses += 1;
         LookupResult::Miss
@@ -113,44 +141,44 @@ impl CacheArray {
     /// evicted.
     pub fn install(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
         self.clock += 1;
-        let set = self.set_index(line);
-        let tag = line / self.sets as u64;
-        let base = set * self.ways;
-        // Already present (e.g. two merged fills): refresh.
-        for w in &mut self.data[base..base + self.ways] {
-            if w.valid && w.tag == tag {
-                w.last_used = self.clock;
-                w.dirty |= dirty;
-                return None;
-            }
+        let (set, tag) = self.locate(line);
+        let clock = self.clock;
+        if self.slots[set] == 0 {
+            let block = self.data.len() / self.ways;
+            self.slots[set] = u32::try_from(block + 1)
+                .expect("CacheConfig::validate bounds the set count to u32");
+            self.data
+                .resize(self.data.len() + self.ways, Way::default());
         }
-        // Prefer an invalid way.
-        let mut victim = base;
+        let sets = self.sets as u64;
+        let ways = self.ways_of(set).expect("set allocated above");
+        let ways = &mut self.data[ways];
+        // Already present (e.g. two merged fills): refresh.
+        if let Some(w) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
+            w.last_used = clock;
+            w.dirty |= dirty;
+            return None;
+        }
+        // Prefer an invalid way, else the least recently used one.
+        let mut victim = 0;
         let mut victim_used = u64::MAX;
-        for (i, w) in self.data[base..base + self.ways].iter().enumerate() {
+        for (i, w) in ways.iter().enumerate() {
             if !w.valid {
-                victim = base + i;
+                victim = i;
                 break;
             }
             if w.last_used < victim_used {
                 victim_used = w.last_used;
-                victim = base + i;
+                victim = i;
             }
         }
-        let evicted = {
-            let w = &self.data[victim];
-            if w.valid {
-                let victim_line = w.tag * self.sets as u64 + self.set_index_inverse(victim);
-                Some((victim_line, w.dirty))
-            } else {
-                None
-            }
-        };
-        self.data[victim] = Way {
+        let w = &mut ways[victim];
+        let evicted = w.valid.then(|| (w.tag * sets + set as u64, w.dirty));
+        *w = Way {
             valid: true,
             dirty,
             tag,
-            last_used: self.clock,
+            last_used: clock,
         };
         if let Some((_, d)) = evicted {
             self.evictions += 1;
@@ -161,39 +189,25 @@ impl CacheArray {
         evicted
     }
 
-    /// Recover the set index from a raw way index.
-    #[inline]
-    fn set_index_inverse(&self, way_index: usize) -> u64 {
-        (way_index / self.ways) as u64
-    }
-
     /// Mark a resident line dirty (writeback absorption from an upper
     /// level). Returns `false` if the line is not resident.
     pub fn mark_dirty(&mut self, line: u64) -> bool {
-        let set = self.set_index(line);
-        let tag = line / self.sets as u64;
-        let base = set * self.ways;
-        for w in &mut self.data[base..base + self.ways] {
-            if w.valid && w.tag == tag {
+        let (set, tag) = self.locate(line);
+        match self.find_mut(set, tag) {
+            Some(w) => {
                 w.dirty = true;
-                return true;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Invalidate a line if present; returns whether it was dirty.
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let set = self.set_index(line);
-        let tag = line / self.sets as u64;
-        let base = set * self.ways;
-        for w in &mut self.data[base..base + self.ways] {
-            if w.valid && w.tag == tag {
-                w.valid = false;
-                return Some(w.dirty);
-            }
-        }
-        None
+        let (set, tag) = self.locate(line);
+        let w = self.find_mut(set, tag)?;
+        w.valid = false;
+        Some(w.dirty)
     }
 
     /// Hits recorded by [`CacheArray::access`].
@@ -333,6 +347,176 @@ mod tests {
             assert_eq!(c.access(line, false), LookupResult::Hit);
         }
         assert!((c.miss_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn victims_are_correct_when_sets_fill_out_of_index_order() {
+        // 2-way, 4 sets: set s holds lines s, s+4, s+8, ... First-touch
+        // order 3, 0, 2, 1 puts each set's ways at a block position
+        // unrelated to its index, so a victim's line must come from the
+        // set index, not from where its way lives.
+        let mut c = tiny_cache(2, 8);
+        for set in [3u64, 0, 2, 1] {
+            assert_eq!(c.install(set, set % 2 == 0), None);
+            assert_eq!(c.install(set + 4, false), None);
+        }
+        for set in [1u64, 3, 0, 2] {
+            // `set` is the LRU way of its set: it goes first.
+            assert_eq!(c.install(set + 8, false), Some((set, set % 2 == 0)));
+            assert_eq!(c.install(set + 12, false), Some((set + 4, false)));
+            assert_eq!(c.probe(set + 8), LookupResult::Hit);
+            assert_eq!(c.probe(set), LookupResult::Miss);
+        }
+        assert_eq!(c.evictions(), 8);
+        assert_eq!(c.dirty_evictions(), 2);
+        assert_eq!(c.resident_lines(), 8);
+    }
+
+    #[test]
+    fn untouched_sets_miss_without_allocating() {
+        let mut c = tiny_cache(4, 64);
+        assert_eq!(c.probe(9), LookupResult::Miss);
+        assert_eq!(c.access(9, true), LookupResult::Miss);
+        assert!(!c.mark_dirty(9));
+        assert_eq!(c.invalidate(9), None);
+        assert!(c.data.is_empty(), "a lookup must not allocate a set");
+        assert_eq!(c.resident_lines(), 0);
+        assert_eq!(c.misses(), 1);
+        // An install allocates exactly one set's ways.
+        c.install(9, false);
+        assert_eq!(c.data.len(), 4);
+        assert_eq!(c.probe(9 + 16), LookupResult::Miss);
+        assert_eq!(c.data.len(), 4);
+    }
+
+    /// The dense reference: every set's ways allocated up front, the
+    /// victim's line recovered from its position in the array.
+    struct DenseCache {
+        sets: usize,
+        ways: usize,
+        data: Vec<Way>,
+        clock: u64,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+        dirty_evictions: u64,
+    }
+
+    impl DenseCache {
+        fn new(sets: usize, ways: usize) -> Self {
+            DenseCache {
+                sets,
+                ways,
+                data: vec![Way::default(); sets * ways],
+                clock: 0,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+                dirty_evictions: 0,
+            }
+        }
+
+        fn set_range(&self, line: u64) -> (std::ops::Range<usize>, u64) {
+            let base = (line as usize & (self.sets - 1)) * self.ways;
+            (base..base + self.ways, line / self.sets as u64)
+        }
+
+        fn find(&mut self, line: u64) -> Option<&mut Way> {
+            let (range, tag) = self.set_range(line);
+            self.data[range]
+                .iter_mut()
+                .find(|w| w.valid && w.tag == tag)
+        }
+
+        fn access(&mut self, line: u64, write: bool) -> LookupResult {
+            self.clock += 1;
+            let clock = self.clock;
+            match self.find(line) {
+                Some(w) => {
+                    w.last_used = clock;
+                    w.dirty |= write;
+                    self.hits += 1;
+                    LookupResult::Hit
+                }
+                None => {
+                    self.misses += 1;
+                    LookupResult::Miss
+                }
+            }
+        }
+
+        fn install(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
+            self.clock += 1;
+            let clock = self.clock;
+            if let Some(w) = self.find(line) {
+                w.last_used = clock;
+                w.dirty |= dirty;
+                return None;
+            }
+            let (range, tag) = self.set_range(line);
+            let victim = range
+                .clone()
+                .find(|&i| !self.data[i].valid)
+                .or_else(|| range.min_by_key(|&i| self.data[i].last_used))
+                .unwrap();
+            let w = self.data[victim];
+            let evicted = w.valid.then(|| {
+                (
+                    w.tag * self.sets as u64 + (victim / self.ways) as u64,
+                    w.dirty,
+                )
+            });
+            self.data[victim] = Way {
+                valid: true,
+                dirty,
+                tag,
+                last_used: clock,
+            };
+            if let Some((_, d)) = evicted {
+                self.evictions += 1;
+                self.dirty_evictions += d as u64;
+            }
+            evicted
+        }
+    }
+
+    #[test]
+    fn first_touch_matches_the_dense_array_on_a_random_stream() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        let mut c = tiny_cache(4, 256); // 64 sets
+        let mut dense = DenseCache::new(64, 4);
+        for step in 0..20_000 {
+            // Lines over 8x the capacity, skewed so sets fill unevenly.
+            let line = if rng.gen_range(0..4) == 0 {
+                rng.gen_range(0..2048u64)
+            } else {
+                rng.gen_range(0..96u64) * 3
+            };
+            let write = rng.gen_range(0..3) == 0;
+            match rng.gen_range(0..10) {
+                0..=4 => assert_eq!(c.access(line, write), dense.access(line, write), "{step}"),
+                5..=7 => assert_eq!(c.install(line, write), dense.install(line, write), "{step}"),
+                8 => assert_eq!(
+                    c.mark_dirty(line),
+                    dense.find(line).map(|w| w.dirty = true).is_some()
+                ),
+                _ => assert_eq!(
+                    c.invalidate(line),
+                    dense.find(line).map(|w| {
+                        w.valid = false;
+                        w.dirty
+                    })
+                ),
+            }
+        }
+        let dense_resident = dense.data.iter().filter(|w| w.valid).count();
+        assert_eq!(c.resident_lines(), dense_resident);
+        assert_eq!(c.hits(), dense.hits);
+        assert_eq!(c.misses(), dense.misses);
+        assert_eq!(c.evictions(), dense.evictions);
+        assert_eq!(c.dirty_evictions(), dense.dirty_evictions);
+        assert!(c.evictions() > 1_000, "the stream must exercise eviction");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The chip engine: cores + private L1s + shared banked L2 + DRAM,
-//! advanced in lock-step cycles.
+//! advanced cycle by cycle.
 //!
 //! The organization follows the paper's Fig 3: NoC-connected cores with
 //! private L1s and a shared, banked L2 in front of the memory
@@ -7,6 +7,15 @@
 //! ([`crate::request::ReqState`]); the Fig 4 HCD/MCD detector observes
 //! each core's L1 every cycle, so the reported C-AMAT parameters are
 //! *measured* by the same machinery the paper proposes in hardware.
+//!
+//! The engine steps only *awake* cores, in ascending core index. A core
+//! blocked on memory ([`Core::blocked_on_memory`]) sleeps: none of its
+//! cycles change anything but its ROB-stall count, and its detector sees
+//! the same (hits, outstanding) counts every cycle. It wakes when one of
+//! its requests resolves its L1 lookup or completes, and the skipped
+//! cycles are settled in closed form first — so results are identical
+//! to stepping every core every cycle, at a cost that follows the
+//! events rather than cores × cycles.
 
 use c2_camat::detector::CamatDetector;
 use c2_camat::{Apc, LayerApc, MemoryLayer};
@@ -33,8 +42,6 @@ pub struct SimResult {
     pub total_cycles: u64,
     /// Per-core statistics, including each core's L1 C-AMAT measurement.
     pub cores: Vec<PerCoreStats>,
-    /// Chip-wide L1 layer counters (all private L1s aggregated).
-    pub l1: Vec<PerCoreStats>,
     /// L1 layer activity (any private L1 busy).
     pub l1_layer: LayerStats,
     /// Shared L2 layer counters.
@@ -120,9 +127,9 @@ impl Simulator {
     }
 }
 
-struct Engine {
+struct Engine<'t> {
     config: ChipConfig,
-    cores: Vec<Core>,
+    cores: Vec<Core<'t>>,
     l1s: Vec<CacheArray>,
     l1_mshrs: Vec<MshrFile>,
     detectors: Vec<CamatDetector>,
@@ -153,6 +160,18 @@ struct Engine {
     hits_in_flight: Vec<u32>,
     /// Per-core outstanding misses (past lookup, data not yet returned).
     outstanding: Vec<u32>,
+    /// Cores with at least one access in its hit phase (the chip-wide
+    /// L1-active signal).
+    cores_hitting: usize,
+    /// Unfinished cores to step this cycle, ascending. Request ids are
+    /// allocated in core order, so the order is part of the results.
+    awake: Vec<usize>,
+    /// Cores woken since the last step, to merge into `awake`.
+    woken: Vec<usize>,
+    /// Per core: the first cycle it was not stepped, while asleep.
+    asleep_since: Vec<Option<u64>>,
+    /// Cores that have not finished.
+    live: usize,
     /// Requests currently resident at the L2 (queued or in lookup).
     l2_resident: u64,
     /// Demand memory requests issued so far (1-based after increment),
@@ -173,12 +192,19 @@ struct Engine {
     per_core_overlap: Vec<u64>,
 }
 
-impl Engine {
-    fn new(config: &ChipConfig, traces: &[Trace]) -> Self {
+impl<'t> Engine<'t> {
+    fn new(config: &ChipConfig, traces: &'t [Trace]) -> Self {
         let mut dram = Dram::new(config.dram);
         dram.set_spike(config.fault.dram_spike);
+        let cores: Vec<Core> = traces.iter().map(|t| Core::new(config.core, t)).collect();
+        let awake: Vec<usize> = (0..cores.len()).filter(|&i| !cores[i].finished()).collect();
         Engine {
-            cores: traces.iter().map(|t| Core::new(config.core, t)).collect(),
+            live: awake.len(),
+            awake,
+            woken: Vec::new(),
+            asleep_since: vec![None; config.cores],
+            cores_hitting: 0,
+            cores,
             l1s: (0..config.cores)
                 .map(|_| CacheArray::new(&config.l1))
                 .collect(),
@@ -247,14 +273,14 @@ impl Engine {
             // 5. Drain pending writebacks into the DRAM queue.
             self.flush_writebacks(now);
 
-            // 6. Cores retire and issue.
+            // 6. Awake cores retire, issue and are observed.
             self.core_cycle(now)?;
 
-            // 7. Detector + layer activity observation.
-            self.observe(now);
+            // 7. Layer activity observation.
+            self.observe_layers(now);
 
             // 8. Termination.
-            let cores_done = self.cores.iter().all(|c| c.finished());
+            let cores_done = self.live == 0;
             let mem_drained = self.requests.is_empty()
                 && self.wb_pending.is_empty()
                 && self.wb_inflight == 0
@@ -310,7 +336,11 @@ impl Engine {
             };
             match r.state {
                 ReqState::L1Lookup { done_at, hit } if done_at <= now => {
+                    self.wake(r.core, now);
                     self.hits_in_flight[r.core] -= 1;
+                    if self.hits_in_flight[r.core] == 0 {
+                        self.cores_hitting -= 1;
+                    }
                     if hit {
                         self.complete_request(id, now, false);
                     } else {
@@ -569,6 +599,7 @@ impl Engine {
         if r.is_prefetch {
             return; // hardware-initiated: nobody to notify
         }
+        self.wake(r.core, now);
         let hit_cycles = self.config.l1.hit_latency;
         let miss = if was_miss {
             let penalty = now.saturating_sub(r.lookup_done_at).max(1) as u32;
@@ -644,98 +675,149 @@ impl Engine {
         }
     }
 
+    /// Wake `core` if it sleeps, first settling the cycles it was not
+    /// stepped in closed form. Callers wake a core before changing its
+    /// hit/miss counts or completing one of its requests, so every
+    /// skipped cycle saw the counts as they were while it slept.
+    fn wake(&mut self, core: usize, now: u64) {
+        let Some(from) = self.asleep_since[core].take() else {
+            return;
+        };
+        self.woken.push(core);
+        let skipped = now - from;
+        if skipped == 0 {
+            return;
+        }
+        // Each skipped cycle retired and issued nothing: a ROB-full core
+        // stalled, the detector saw unchanged counts, and no cycle
+        // overlapped memory with pipeline progress.
+        if !self.cores[core].rob_has_space() {
+            self.cores[core].note_rob_stalls(skipped);
+        }
+        let (hits, outstanding) = (self.hits_in_flight[core], self.outstanding[core]);
+        self.detectors[core].observe_cycle_counts_n(hits, outstanding, skipped);
+        if hits > 0 || outstanding > 0 {
+            self.per_core_mem_active[core] += skipped;
+        }
+    }
+
+    /// Step every awake core (ascending index), observe it, and put it
+    /// to sleep or retire it from the set when it blocks or finishes.
     fn core_cycle(&mut self, now: u64) -> Result<()> {
-        for core_idx in 0..self.cores.len() {
+        if !self.woken.is_empty() {
+            self.awake.append(&mut self.woken);
+            self.awake.sort_unstable();
+        }
+        // Compact the set in place: the run ends on an error, so an
+        // early return may drop it.
+        let mut awake = std::mem::take(&mut self.awake);
+        let mut kept = 0;
+        for i in 0..awake.len() {
+            let core_idx = awake[i];
+            self.step_core(core_idx, now)?;
+            self.observe_core(core_idx);
             if self.cores[core_idx].finished() {
-                continue;
+                self.live -= 1;
+            } else if self.cores[core_idx].blocked_on_memory() {
+                self.asleep_since[core_idx] = Some(now + 1);
+            } else {
+                awake[kept] = core_idx;
+                kept += 1;
             }
-            self.cores[core_idx].retire(now);
-            let width = self.cores[core_idx].issue_width();
-            let mut ports_used = 0usize;
-            for _ in 0..width {
-                if self.cores[core_idx].finished() {
-                    break;
-                }
-                if !self.cores[core_idx].rob_has_space() {
-                    self.cores[core_idx].note_rob_stall();
-                    break;
-                }
-                match self.cores[core_idx].peek() {
-                    NextOp::Exhausted => break,
-                    NextOp::Compute => self.cores[core_idx].issue_compute(now),
-                    NextOp::Memory(access) => {
-                        if ports_used >= self.config.l1.ports {
-                            self.cores[core_idx].note_mem_stall();
-                            break;
-                        }
-                        ports_used += 1;
-                        self.demand_requests += 1;
-                        if self.config.fault.fail_at_request == Some(self.demand_requests) {
-                            return Err(Error::InjectedFault {
-                                request: self.demand_requests,
-                                cycle: now,
-                            });
-                        }
-                        let line = self.l1s[core_idx].line_of(access.addr);
-                        let hit = matches!(
-                            self.l1s[core_idx].access(line, access.kind.is_write()),
-                            LookupResult::Hit
-                        );
-                        let id = self.next_req;
-                        self.next_req += 1;
-                        let done_at = now + self.config.l1.hit_latency as u64;
-                        self.requests.insert(
-                            id,
-                            MemRequest {
-                                id,
-                                core: core_idx,
-                                line,
-                                is_write: access.kind.is_write(),
-                                issued_at: now,
-                                lookup_done_at: done_at,
-                                state: ReqState::L1Lookup { done_at, hit },
-                                l1_miss: !hit,
-                                is_prefetch: false,
-                            },
-                        );
-                        self.schedule.push(std::cmp::Reverse((done_at, id)));
-                        self.hits_in_flight[core_idx] += 1;
-                        self.per_core_accesses[core_idx] += 1;
-                        self.l1_layer.accesses += 1;
-                        if hit {
-                            self.l1_layer.hits += 1;
-                        } else {
-                            self.l1_layer.misses += 1;
-                        }
-                        self.cores[core_idx].issue_memory(id);
+        }
+        awake.truncate(kept);
+        self.awake = awake;
+        Ok(())
+    }
+
+    fn step_core(&mut self, core_idx: usize, now: u64) -> Result<()> {
+        self.cores[core_idx].retire(now);
+        let width = self.cores[core_idx].issue_width();
+        let mut ports_used = 0usize;
+        for _ in 0..width {
+            if self.cores[core_idx].finished() {
+                break;
+            }
+            if !self.cores[core_idx].rob_has_space() {
+                self.cores[core_idx].note_rob_stall();
+                break;
+            }
+            match self.cores[core_idx].peek() {
+                NextOp::Exhausted => break,
+                NextOp::Compute => self.cores[core_idx].issue_compute(now),
+                NextOp::Memory(access) => {
+                    if ports_used >= self.config.l1.ports {
+                        self.cores[core_idx].note_mem_stall();
+                        break;
                     }
+                    ports_used += 1;
+                    self.demand_requests += 1;
+                    if self.config.fault.fail_at_request == Some(self.demand_requests) {
+                        return Err(Error::InjectedFault {
+                            request: self.demand_requests,
+                            cycle: now,
+                        });
+                    }
+                    let line = self.l1s[core_idx].line_of(access.addr);
+                    let hit = matches!(
+                        self.l1s[core_idx].access(line, access.kind.is_write()),
+                        LookupResult::Hit
+                    );
+                    let id = self.next_req;
+                    self.next_req += 1;
+                    let done_at = now + self.config.l1.hit_latency as u64;
+                    self.requests.insert(
+                        id,
+                        MemRequest {
+                            id,
+                            core: core_idx,
+                            line,
+                            is_write: access.kind.is_write(),
+                            issued_at: now,
+                            lookup_done_at: done_at,
+                            state: ReqState::L1Lookup { done_at, hit },
+                            l1_miss: !hit,
+                            is_prefetch: false,
+                        },
+                    );
+                    self.schedule.push(std::cmp::Reverse((done_at, id)));
+                    if self.hits_in_flight[core_idx] == 0 {
+                        self.cores_hitting += 1;
+                    }
+                    self.hits_in_flight[core_idx] += 1;
+                    self.per_core_accesses[core_idx] += 1;
+                    self.l1_layer.accesses += 1;
+                    if hit {
+                        self.l1_layer.hits += 1;
+                    } else {
+                        self.l1_layer.misses += 1;
+                    }
+                    self.cores[core_idx].issue_memory(id);
                 }
             }
         }
         Ok(())
     }
 
-    fn observe(&mut self, now: u64) {
-        // O(cores) per cycle: the engine maintains per-core hit-phase
-        // and outstanding-miss counters incrementally.
-        let mut any_l1_active = false;
-        for core_idx in 0..self.cores.len() {
-            let hits = self.hits_in_flight[core_idx];
-            if hits > 0 {
-                any_l1_active = true;
-            }
-            self.detectors[core_idx].observe_cycle_counts(hits, self.outstanding[core_idx]);
-            // Eq. 7 overlap measurement: memory-active cycles during
-            // which the pipeline still advanced.
-            let progress = self.cores[core_idx].take_progress();
-            if hits > 0 || self.outstanding[core_idx] > 0 {
-                self.per_core_mem_active[core_idx] += 1;
-                if progress {
-                    self.per_core_overlap[core_idx] += 1;
-                }
+    /// One cycle of the Fig 4 detector and the Eq. 7 overlap counters
+    /// for a stepped core.
+    fn observe_core(&mut self, core_idx: usize) {
+        let hits = self.hits_in_flight[core_idx];
+        let outstanding = self.outstanding[core_idx];
+        self.detectors[core_idx].observe_cycle_counts(hits, outstanding);
+        // Eq. 7 overlap measurement: memory-active cycles during which
+        // the pipeline still advanced.
+        let progress = self.cores[core_idx].take_progress();
+        if hits > 0 || outstanding > 0 {
+            self.per_core_mem_active[core_idx] += 1;
+            if progress {
+                self.per_core_overlap[core_idx] += 1;
             }
         }
-        if any_l1_active {
+    }
+
+    fn observe_layers(&mut self, now: u64) {
+        if self.cores_hitting > 0 {
             self.l1_layer.active_cycles += 1;
         }
         if self.l2_resident > 0 {
@@ -766,7 +848,6 @@ impl Engine {
         self.dram_layer.misses = self.dram.row_misses() + self.dram.row_conflicts();
         Ok(SimResult {
             total_cycles: now,
-            l1: cores.clone(),
             cores,
             l1_layer: self.l1_layer,
             l2_layer: self.l2_layer,

@@ -101,6 +101,9 @@ impl CacheConfig {
         if !self.sets().is_power_of_two() {
             return Err(Error::InvalidConfig("set count must be a power of two"));
         }
+        if u32::try_from(self.sets()).is_err() {
+            return Err(Error::InvalidConfig("set count must fit in 32 bits"));
+        }
         if self.hit_latency == 0 {
             return Err(Error::InvalidConfig("hit_latency must be positive"));
         }

@@ -42,11 +42,11 @@ pub enum NextOp {
     Exhausted,
 }
 
-/// One simulated core executing one trace.
+/// One simulated core executing one trace (borrowed, not copied).
 #[derive(Debug)]
-pub struct Core {
+pub struct Core<'t> {
     config: CoreConfig,
-    accesses: Vec<MemAccess>,
+    accesses: &'t [MemAccess],
     instruction_count: u64,
     /// Index of the next trace access to issue.
     next_access: usize,
@@ -59,17 +59,21 @@ pub struct Core {
     /// Whether the core issued or retired anything since the last
     /// [`Core::take_progress`] call (drives the overlap measurement).
     progress: bool,
+    /// Whether the ROB head is a memory access known to be in flight:
+    /// set when retirement stops at one or one is issued into an empty
+    /// ROB, cleared by any completion.
+    head_waits: bool,
     // Statistics
     rob_stalls: u64,
     mem_stalls: u64,
 }
 
-impl Core {
+impl<'t> Core<'t> {
     /// Build a core that will execute `trace`.
-    pub fn new(config: CoreConfig, trace: &Trace) -> Self {
+    pub fn new(config: CoreConfig, trace: &'t Trace) -> Self {
         Core {
             config,
-            accesses: trace.accesses().to_vec(),
+            accesses: trace.accesses(),
             instruction_count: trace.instruction_count(),
             next_access: 0,
             next_instr: 0,
@@ -78,6 +82,7 @@ impl Core {
             retired: 0,
             finished_at: 0,
             progress: false,
+            head_waits: false,
             rob_stalls: 0,
             mem_stalls: 0,
         }
@@ -116,11 +121,13 @@ impl Core {
     /// Notification from the memory system that request `id` completed.
     pub fn complete_request(&mut self, id: ReqId) {
         self.completed_reqs.insert(id);
+        self.head_waits = false;
     }
 
     /// Retire up to `issue_width` completed instructions from the ROB
     /// head (in order).
     pub fn retire(&mut self, now: u64) {
+        self.head_waits = false;
         for _ in 0..self.config.issue_width {
             let Some(head) = self.rob.front() else { break };
             let done = match head {
@@ -128,6 +135,7 @@ impl Core {
                 RobEntry::Memory { req } => self.completed_reqs.contains(req),
             };
             if !done {
+                self.head_waits = matches!(head, RobEntry::Memory { .. });
                 break;
             }
             if let Some(RobEntry::Memory { req }) = self.rob.pop_front() {
@@ -162,6 +170,26 @@ impl Core {
         self.rob_stalls += 1;
     }
 
+    /// Record `cycles` ROB-full stalls at once (cycles the engine did
+    /// not step because the core was blocked on memory).
+    pub fn note_rob_stalls(&mut self, cycles: u64) {
+        self.rob_stalls += cycles;
+    }
+
+    /// Whether the core can do nothing until the memory system answers:
+    /// its ROB head is a memory access still in flight, and it cannot
+    /// issue because the ROB is full or the trace is fully issued. Each
+    /// such cycle retires nothing, issues nothing and changes no state
+    /// but the ROB-stall counter, so the engine stops stepping the core
+    /// until one of its requests makes progress.
+    ///
+    /// Conservative: it may answer `false` for a blocked core (when
+    /// retirement last stopped on its width rather than on the waiting
+    /// access), never `true` for one that could make progress.
+    pub fn blocked_on_memory(&self) -> bool {
+        self.head_waits && (!self.rob_has_space() || self.next_instr >= self.instruction_count)
+    }
+
     /// Record a memory-structural stall for this cycle.
     pub fn note_mem_stall(&mut self) {
         self.mem_stalls += 1;
@@ -181,6 +209,8 @@ impl Core {
     /// (caller checked `peek` and created the request).
     pub fn issue_memory(&mut self, req: ReqId) {
         debug_assert!(self.rob_has_space());
+        // Its request is only just created: it cannot have completed.
+        self.head_waits |= self.rob.is_empty();
         self.rob.push_back(RobEntry::Memory { req });
         self.next_instr += 1;
         self.next_access += 1;
@@ -212,7 +242,8 @@ mod tests {
 
     #[test]
     fn peek_distinguishes_compute_and_memory() {
-        let core = Core::new(CoreConfig::default_ooo(), &small_trace());
+        let t = small_trace();
+        let core = Core::new(CoreConfig::default_ooo(), &t);
         assert_eq!(core.peek(), NextOp::Compute);
     }
 

@@ -31,7 +31,7 @@
 //! let trace = StridedGenerator::new(0, 64, 2_000).generate();
 //! let result = Simulator::new(config).run(&[trace]).unwrap();
 //! assert!(result.total_cycles > 0);
-//! assert!(result.l1[0].camat.accesses == 2_000);
+//! assert!(result.cores[0].camat.accesses == 2_000);
 //! ```
 
 #![warn(missing_docs)]
