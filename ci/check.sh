@@ -184,7 +184,14 @@ echo "== simulator cost model: engine equivalence (DESIGN.md SS16) =="
 # The event-driven engine must reproduce the lock-step golden bit for
 # bit, and every golden that runs the simulator must stay unchanged.
 cargo test -q -p c2-sim --test engine_equivalence
+cargo test -q -p c2-sim --test event_wheel
 cargo test -q -p c2-sim -p c2-camat
+# The per-request path stays heap-free and hash-free: events go through
+# the event wheel, completions through ROB slots (DESIGN.md SS16).
+if grep -nE 'BinaryHeap|HashSet|HashMap' crates/sim/src/chip.rs crates/sim/src/core.rs; then
+    echo "error: chip.rs/core.rs must not use BinaryHeap, HashSet or HashMap" >&2
+    exit 1
+fi
 cargo test -q --test phase_accuracy
 cargo test -q --test law_validation
 

@@ -17,13 +17,18 @@
 //! Two driving styles:
 //!
 //! * **counts API** (the fast path used by `c2-sim`):
-//!   [`CamatDetector::observe_cycle_counts`] + [`CamatDetector::miss_begins`],
-//!   with [`CamatDetector::observe_cycle_counts_n`] settling a run of
-//!   cycles with unchanged counts in O(1);
-//! * **slice API** ([`CamatDetector::observe_cycle`]) taking the explicit
+//!   [`CamatDetector::observe_cycle_counts`], [`CamatDetector::miss_begins`]
+//!   and [`CamatDetector::retire_counted`], with
+//!   [`CamatDetector::observe_cycle_counts_n`] settling a run of cycles
+//!   with unchanged counts in O(1). `miss_begins` hands the caller the
+//!   miss's start epoch as a [`MissEpoch`] stamp, which the caller keeps
+//!   with the access and hands back at retirement, so the path keeps no
+//!   per-miss table and hashes nothing;
+//! * **slice API** ([`CamatDetector::observe_cycle`] +
+//!   [`CamatDetector::retire_access`]) taking the explicit
 //!   outstanding-miss id list each cycle — used by the test-oracle
 //!   replay of timelines, where a miss's outstanding window is inferred
-//!   from its appearances.
+//!   from its appearances. It keys misses by id in hash maps.
 
 use std::collections::HashMap;
 
@@ -32,6 +37,12 @@ use crate::timeline::{CamatMeasurement, Timeline};
 /// Opaque identifier for an in-flight miss (e.g. its MSHR slot or a
 /// monotonically increasing access id).
 pub type MissId = u64;
+
+/// The pure-miss epoch at which a counts-API miss became outstanding:
+/// returned by [`CamatDetector::miss_begins`], handed back to
+/// [`CamatDetector::retire_counted`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MissEpoch(u64);
 
 /// Online HCD/MCD detector (paper Fig 4).
 #[derive(Debug, Clone, Default)]
@@ -44,7 +55,14 @@ pub struct CamatDetector {
     pure_miss_access_cycles: u64,
     /// Cumulative pure-miss cycle count (the epoch counter).
     pure_epoch: u64,
-    /// Epoch at which each outstanding miss began.
+    /// Counts-API misses begun and not yet retired: how many, the sum
+    /// of their start epochs, and how many began at the current epoch
+    /// (and so have no pure cycle yet). `finish` folds them in from
+    /// these aggregates alone.
+    stamped_outstanding: u64,
+    stamped_epoch_sum: u64,
+    stamped_at_epoch: u64,
+    /// Epoch at which each outstanding slice-API miss began.
     start_epoch: HashMap<MissId, u64>,
     /// Pure-cycle counts of misses whose outstanding window closed
     /// before retirement (slice-API only).
@@ -78,10 +96,14 @@ impl CamatDetector {
         CamatDetector::default()
     }
 
-    /// Register that miss `id` is outstanding from this point on (fast
-    /// path; pairs with [`CamatDetector::observe_cycle_counts`]).
-    pub fn miss_begins(&mut self, id: MissId) {
-        self.start_epoch.entry(id).or_insert(self.pure_epoch);
+    /// Register that a miss is outstanding from this point on (counts
+    /// API). The returned stamp goes back to
+    /// [`CamatDetector::retire_counted`] when the access retires, once.
+    pub fn miss_begins(&mut self) -> MissEpoch {
+        self.stamped_outstanding += 1;
+        self.stamped_epoch_sum += self.pure_epoch;
+        self.stamped_at_epoch += 1;
+        MissEpoch(self.pure_epoch)
     }
 
     /// Feed one cycle of observation by aggregate counts (fast path):
@@ -112,12 +134,13 @@ impl CamatDetector {
             self.hit_active_cycles += cycles;
             self.hit_access_cycles += hits_in_flight as u64 * cycles;
         }
-        if has_miss && !has_hit {
+        if has_miss && !has_hit && cycles > 0 {
             // Pure-miss cycles: every outstanding miss accrues one pure
             // cycle each (MCD = HCD's "no hit" signal + MSHR occupancy).
             self.pure_miss_cycles += cycles;
             self.pure_miss_access_cycles += outstanding_misses as u64 * cycles;
             self.pure_epoch += cycles;
+            self.stamped_at_epoch = 0;
         }
         if has_hit || has_miss {
             self.memory_active_cycles += cycles;
@@ -140,33 +163,65 @@ impl CamatDetector {
             }
         }
         for &id in outstanding_misses {
-            self.miss_begins(id);
+            self.start_epoch.entry(id).or_insert(self.pure_epoch);
         }
         self.observe_cycle_counts(hits_in_flight, outstanding_misses.len() as u32);
         self.prev_ids.clear();
         self.prev_ids.extend_from_slice(outstanding_misses);
     }
 
-    /// Record the retirement of an access.
+    /// Record the retirement of an access (counts API).
+    ///
+    /// * `hit_cycles` — cycles the access spent in its hit phase;
+    /// * `miss` — `Some((began, penalty_cycles))` if the access missed,
+    ///   with `began` the stamp [`CamatDetector::miss_begins`] returned.
+    pub fn retire_counted(&mut self, hit_cycles: u32, miss: Option<(MissEpoch, u32)>) {
+        self.record_access(hit_cycles);
+        if let Some((MissEpoch(began), penalty)) = miss {
+            self.record_miss(penalty);
+            self.stamped_outstanding -= 1;
+            self.stamped_epoch_sum -= began;
+            if began == self.pure_epoch {
+                self.stamped_at_epoch -= 1;
+            }
+            self.credit_pure(self.pure_epoch - began);
+        }
+    }
+
+    /// Record the retirement of an access (slice API).
     ///
     /// * `hit_cycles` — cycles the access spent in its hit phase;
     /// * `miss` — `Some((id, penalty_cycles))` if the access missed.
     pub fn retire_access(&mut self, hit_cycles: u32, miss: Option<(MissId, u32)>) {
-        self.accesses += 1;
-        self.hit_time_total += hit_cycles as u64;
+        self.record_access(hit_cycles);
         if let Some((id, penalty)) = miss {
-            self.misses += 1;
-            self.miss_penalty_total += penalty as u64;
+            self.record_miss(penalty);
             let pure = self
                 .closed
                 .remove(&id)
                 .or_else(|| self.start_epoch.remove(&id).map(|s| self.pure_epoch - s));
             if let Some(pure) = pure {
-                if pure > 0 {
-                    self.completed_pure_misses += 1;
-                    self.completed_pure_cycle_total += pure;
-                }
+                self.credit_pure(pure);
             }
+        }
+    }
+
+    fn record_access(&mut self, hit_cycles: u32) {
+        self.accesses += 1;
+        self.hit_time_total += hit_cycles as u64;
+    }
+
+    fn record_miss(&mut self, penalty: u32) {
+        self.misses += 1;
+        self.miss_penalty_total += penalty as u64;
+    }
+
+    /// Count a finished miss's pure cycles; a miss with none is not a
+    /// pure miss.
+    fn credit_pure(&mut self, pure: u64) {
+        if pure > 0 {
+            self.completed_pure_misses += 1;
+            self.completed_pure_cycle_total += pure;
         }
     }
 
@@ -183,19 +238,17 @@ impl CamatDetector {
     /// Produce the final report. Misses still outstanding are folded in
     /// as if they retired now.
     pub fn finish(mut self) -> DetectorReport {
-        // Drain unretired misses so their pure cycles are not lost.
-        for (_, start) in self.start_epoch.drain() {
-            let pure = self.pure_epoch - start;
-            if pure > 0 {
-                self.completed_pure_misses += 1;
-                self.completed_pure_cycle_total += pure;
-            }
+        // Drain unretired misses so their pure cycles are not lost. Each
+        // stamped miss earned the epochs since it began; those begun at
+        // the current epoch earned none.
+        self.completed_pure_misses += self.stamped_outstanding - self.stamped_at_epoch;
+        self.completed_pure_cycle_total +=
+            self.stamped_outstanding * self.pure_epoch - self.stamped_epoch_sum;
+        for start in std::mem::take(&mut self.start_epoch).into_values() {
+            self.credit_pure(self.pure_epoch - start);
         }
-        for (_, pure) in self.closed.drain() {
-            if pure > 0 {
-                self.completed_pure_misses += 1;
-                self.completed_pure_cycle_total += pure;
-            }
+        for pure in std::mem::take(&mut self.closed).into_values() {
+            self.credit_pure(pure);
         }
         let n = self.accesses;
         let measurement = CamatMeasurement {
@@ -379,15 +432,15 @@ mod tests {
 
         let mut counts = CamatDetector::new();
         counts.observe_cycle_counts(2, 0);
-        counts.miss_begins(1);
-        counts.miss_begins(2);
+        let one = counts.miss_begins();
+        let two = counts.miss_begins();
         counts.observe_cycle_counts(0, 2);
         counts.observe_cycle_counts(0, 2);
         // Miss 1 retires before cycle 3 in the counts world.
-        counts.retire_access(1, Some((1, 3)));
+        counts.retire_counted(1, Some((one, 3)));
         counts.observe_cycle_counts(1, 1);
-        counts.retire_access(1, Some((2, 4)));
-        counts.retire_access(1, None);
+        counts.retire_counted(1, Some((two, 4)));
+        counts.retire_counted(1, None);
         let b = counts.finish();
 
         assert_eq!(a.measurement.pure_misses, b.measurement.pure_misses);

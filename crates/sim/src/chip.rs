@@ -17,7 +17,9 @@
 //! to stepping every core every cycle, at a cost that follows the
 //! events rather than cores × cycles.
 
-use c2_camat::detector::CamatDetector;
+use std::collections::VecDeque;
+
+use c2_camat::detector::{CamatDetector, MissEpoch};
 use c2_camat::{Apc, LayerApc, MemoryLayer};
 use c2_trace::Trace;
 
@@ -27,7 +29,7 @@ use crate::core::{Core, NextOp};
 use crate::dram::Dram;
 use crate::metrics::{LayerStats, PerCoreStats};
 use crate::mshr::{MshrFile, MshrOutcome};
-use crate::request::{MemRequest, ReqId, ReqState, RequestArena};
+use crate::request::{EventWheel, MemRequest, ReqId, ReqState, RequestArena};
 use crate::{Error, Result};
 
 /// Writeback request ids live in their own namespace so fill completions
@@ -136,7 +138,7 @@ struct Engine<'t> {
     l2: CacheArray,
     l2_mshr: MshrFile,
     /// FIFO of requests waiting for an L2 bank.
-    l2_queue: Vec<ReqId>,
+    l2_queue: VecDeque<ReqId>,
     /// Cycle until which each L2 bank's input is busy (pipelined: +1).
     l2_bank_busy: Vec<u64>,
     dram: Dram,
@@ -146,13 +148,13 @@ struct Engine<'t> {
     /// Pending DRAM writebacks (line indices) awaiting queue space.
     wb_pending: Vec<u64>,
     wb_inflight: u64,
-    /// Timed state transitions: (due cycle, request id), min-first.
-    schedule: std::collections::BinaryHeap<std::cmp::Reverse<(u64, ReqId)>>,
+    /// Timed state transitions, popped in (due cycle, request id) order.
+    events: EventWheel,
     /// Per-core FIFOs of requests waiting for a free L1 MSHR entry
     /// (woken when a fill releases one — never polled per cycle).
-    retry_l1: Vec<std::collections::VecDeque<ReqId>>,
+    retry_l1: Vec<VecDeque<ReqId>>,
     /// Requests waiting for a free L2 MSHR entry (woken on DRAM fills).
-    retry_l2: std::collections::VecDeque<ReqId>,
+    retry_l2: VecDeque<ReqId>,
     /// Requests waiting for DRAM queue space (small: bounded by the L2
     /// MSHR file; polled per cycle).
     retry_dram: Vec<ReqId>,
@@ -214,7 +216,7 @@ impl<'t> Engine<'t> {
             detectors: (0..config.cores).map(|_| CamatDetector::new()).collect(),
             l2: CacheArray::new(&config.l2),
             l2_mshr: MshrFile::new(config.l2.mshr_entries),
-            l2_queue: Vec::new(),
+            l2_queue: VecDeque::new(),
             l2_bank_busy: vec![0; config.l2.banks],
             dram,
             requests: RequestArena::new(),
@@ -222,9 +224,9 @@ impl<'t> Engine<'t> {
             next_wb: WB_BASE,
             wb_pending: Vec::new(),
             wb_inflight: 0,
-            schedule: std::collections::BinaryHeap::new(),
-            retry_l1: vec![std::collections::VecDeque::new(); config.cores],
-            retry_l2: std::collections::VecDeque::new(),
+            events: EventWheel::new(config.max_event_delay()),
+            retry_l1: vec![VecDeque::new(); config.cores],
+            retry_l2: VecDeque::new(),
             retry_dram: Vec::new(),
             hits_in_flight: vec![0; config.cores],
             outstanding: vec![0; config.cores],
@@ -316,7 +318,7 @@ impl<'t> Engine<'t> {
         for &w in &waiters {
             if let Some(r) = self.requests.get_mut(&w) {
                 r.state = ReqState::FillToL1 { arrive_at: arrive };
-                self.schedule.push(std::cmp::Reverse((arrive, w)));
+                self.events.push(arrive, w);
             }
         }
         self.waiter_buf = waiters;
@@ -324,13 +326,9 @@ impl<'t> Engine<'t> {
         self.drain_l2_retries(now);
     }
 
-    /// Pop every scheduled transition due at or before `now`.
+    /// Pop every scheduled transition due at `now`.
     fn process_events(&mut self, now: u64) {
-        while let Some(&std::cmp::Reverse((when, id))) = self.schedule.peek() {
-            if when > now {
-                break;
-            }
-            self.schedule.pop();
+        while let Some(id) = self.events.pop_due(now) {
             let Some(r) = self.requests.get(&id).copied() else {
                 continue; // already completed (stale event)
             };
@@ -345,7 +343,8 @@ impl<'t> Engine<'t> {
                         self.complete_request(id, now, false);
                     } else {
                         self.outstanding[r.core] += 1;
-                        self.detectors[r.core].miss_begins(id);
+                        let epoch = self.detectors[r.core].miss_begins();
+                        self.requests.get_mut(&id).unwrap().miss_epoch = epoch;
                         self.l1_miss_to_mshr(id, now);
                         if self.config.l1.next_line_prefetch {
                             self.maybe_prefetch(r.core, r.line + 1, now);
@@ -354,7 +353,7 @@ impl<'t> Engine<'t> {
                 }
                 ReqState::ToL2 { arrive_at } if arrive_at <= now => {
                     self.requests.get_mut(&id).unwrap().state = ReqState::L2Queue;
-                    self.l2_queue.push(id);
+                    self.l2_queue.push_back(id);
                     self.l2_resident += 1;
                 }
                 ReqState::L2Lookup { done_at, hit } if done_at <= now => {
@@ -363,7 +362,7 @@ impl<'t> Engine<'t> {
                         let arrive = now + self.config.noc.l1_l2_latency as u64;
                         self.requests.get_mut(&id).unwrap().state =
                             ReqState::FillToL1 { arrive_at: arrive };
-                        self.schedule.push(std::cmp::Reverse((arrive, id)));
+                        self.events.push(arrive, id);
                     } else {
                         self.l2_miss_to_mshr(id, now);
                     }
@@ -458,10 +457,10 @@ impl<'t> Engine<'t> {
                 core,
                 line,
                 is_write: false,
-                issued_at: now,
+                instr: 0,
                 lookup_done_at: now,
+                miss_epoch: MissEpoch::default(),
                 state: ReqState::WaitL1Fill, // placeholder; set below
-                l1_miss: true,
                 is_prefetch: true,
             },
         );
@@ -470,7 +469,7 @@ impl<'t> Engine<'t> {
             MshrOutcome::Allocated => {
                 let arrive = now + self.config.noc.l1_l2_latency as u64;
                 self.requests.get_mut(&id).unwrap().state = ReqState::ToL2 { arrive_at: arrive };
-                self.schedule.push(std::cmp::Reverse((arrive, id)));
+                self.events.push(arrive, id);
             }
             // Unreachable given the checks above, but stay safe.
             MshrOutcome::Merged => {
@@ -501,7 +500,7 @@ impl<'t> Engine<'t> {
             MshrOutcome::Allocated => {
                 let arrive = now + self.config.noc.l1_l2_latency as u64;
                 self.requests.get_mut(&id).unwrap().state = ReqState::ToL2 { arrive_at: arrive };
-                self.schedule.push(std::cmp::Reverse((arrive, id)));
+                self.events.push(arrive, id);
             }
             MshrOutcome::Merged => {
                 self.requests.get_mut(&id).unwrap().state = ReqState::WaitL1Fill;
@@ -524,7 +523,7 @@ impl<'t> Engine<'t> {
             MshrOutcome::Allocated => {
                 let arrive = now + self.config.noc.l2_mem_latency as u64;
                 self.requests.get_mut(&id).unwrap().state = ReqState::ToDram { arrive_at: arrive };
-                self.schedule.push(std::cmp::Reverse((arrive, id)));
+                self.events.push(arrive, id);
             }
             MshrOutcome::Merged => {
                 self.requests.get_mut(&id).unwrap().state = ReqState::WaitL2Fill;
@@ -603,18 +602,20 @@ impl<'t> Engine<'t> {
         let hit_cycles = self.config.l1.hit_latency;
         let miss = if was_miss {
             let penalty = now.saturating_sub(r.lookup_done_at).max(1) as u32;
-            Some((id, penalty))
+            Some((r.miss_epoch, penalty))
         } else {
             None
         };
-        self.detectors[r.core].retire_access(hit_cycles, miss);
-        self.cores[r.core].complete_request(id);
+        self.detectors[r.core].retire_counted(hit_cycles, miss);
+        self.cores[r.core].complete_request(r.instr);
         if was_miss {
             self.outstanding[r.core] -= 1;
             self.per_core_misses[r.core] += 1;
         }
     }
 
+    /// Hand queued requests to free L2 banks, oldest first, up to the
+    /// L2's ports; a request whose bank is busy keeps its place.
     fn dispatch_l2(&mut self, now: u64) {
         let mut dispatched = 0usize;
         let mut i = 0;
@@ -638,7 +639,7 @@ impl<'t> Engine<'t> {
                 let done = now + self.config.l2.hit_latency as u64;
                 self.requests.get_mut(&id).unwrap().state =
                     ReqState::L2Lookup { done_at: done, hit };
-                self.schedule.push(std::cmp::Reverse((done, id)));
+                self.events.push(done, id);
                 self.l2_queue.remove(i);
                 dispatched += 1;
             } else {
@@ -773,14 +774,14 @@ impl<'t> Engine<'t> {
                             core: core_idx,
                             line,
                             is_write: access.kind.is_write(),
-                            issued_at: now,
+                            instr: access.instr,
                             lookup_done_at: done_at,
+                            miss_epoch: MissEpoch::default(),
                             state: ReqState::L1Lookup { done_at, hit },
-                            l1_miss: !hit,
                             is_prefetch: false,
                         },
                     );
-                    self.schedule.push(std::cmp::Reverse((done_at, id)));
+                    self.events.push(done_at, id);
                     if self.hits_in_flight[core_idx] == 0 {
                         self.cores_hitting += 1;
                     }
@@ -792,7 +793,7 @@ impl<'t> Engine<'t> {
                     } else {
                         self.l1_layer.misses += 1;
                     }
-                    self.cores[core_idx].issue_memory(id);
+                    self.cores[core_idx].issue_memory();
                 }
             }
         }

@@ -8,28 +8,15 @@
 //! and `C_M` — *emerges* from the window: a wide ROB lets many memory
 //! requests overlap, a 1-entry ROB serializes them (the paper's C = 1).
 
-use std::collections::HashSet;
 use std::collections::VecDeque;
 
 use c2_trace::{MemAccess, Trace};
 
 use crate::config::CoreConfig;
-use crate::request::ReqId;
 
-/// A slot in the reorder buffer.
-#[derive(Debug, Clone, Copy)]
-enum RobEntry {
-    /// A non-memory instruction completing at the given cycle.
-    Compute {
-        /// Completion cycle.
-        done_at: u64,
-    },
-    /// A memory instruction waiting on the request with this id.
-    Memory {
-        /// The in-flight request id.
-        req: ReqId,
-    },
-}
+/// ROB slot of a memory instruction whose access is still in flight.
+/// Every other slot holds the cycle its instruction completes at.
+const PENDING: u64 = u64::MAX;
 
 /// What the core wants to issue next (peeked by the chip engine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,8 +39,9 @@ pub struct Core<'t> {
     next_access: usize,
     /// Dynamic instruction index of the next instruction to issue.
     next_instr: u64,
-    rob: VecDeque<RobEntry>,
-    completed_reqs: HashSet<ReqId>,
+    /// One slot per in-flight instruction, oldest first: slot `k` holds
+    /// dynamic instruction `retired + k`.
+    rob: VecDeque<u64>,
     retired: u64,
     finished_at: u64,
     /// Whether the core issued or retired anything since the last
@@ -78,7 +66,6 @@ impl<'t> Core<'t> {
             next_access: 0,
             next_instr: 0,
             rob: VecDeque::with_capacity(config.rob_size),
-            completed_reqs: HashSet::new(),
             retired: 0,
             finished_at: 0,
             progress: false,
@@ -118,9 +105,15 @@ impl<'t> Core<'t> {
         self.instruction_count
     }
 
-    /// Notification from the memory system that request `id` completed.
-    pub fn complete_request(&mut self, id: ReqId) {
-        self.completed_reqs.insert(id);
+    /// Notification from the memory system that the access of dynamic
+    /// instruction `instr` completed.
+    pub fn complete_request(&mut self, instr: u64) {
+        let slot = &mut self.rob[(instr - self.retired) as usize];
+        debug_assert_eq!(
+            *slot, PENDING,
+            "instruction {instr} is not a pending access"
+        );
+        *slot = 0;
         self.head_waits = false;
     }
 
@@ -129,18 +122,14 @@ impl<'t> Core<'t> {
     pub fn retire(&mut self, now: u64) {
         self.head_waits = false;
         for _ in 0..self.config.issue_width {
-            let Some(head) = self.rob.front() else { break };
-            let done = match head {
-                RobEntry::Compute { done_at } => *done_at <= now,
-                RobEntry::Memory { req } => self.completed_reqs.contains(req),
+            let Some(&done_at) = self.rob.front() else {
+                break;
             };
-            if !done {
-                self.head_waits = matches!(head, RobEntry::Memory { .. });
+            if done_at > now {
+                self.head_waits = done_at == PENDING;
                 break;
             }
-            if let Some(RobEntry::Memory { req }) = self.rob.pop_front() {
-                self.completed_reqs.remove(&req);
-            }
+            self.rob.pop_front();
             self.retired += 1;
             self.progress = true;
             if self.retired == self.instruction_count && self.rob.is_empty() {
@@ -198,20 +187,18 @@ impl<'t> Core<'t> {
     /// Issue the pending compute instruction (caller checked `peek`).
     pub fn issue_compute(&mut self, now: u64) {
         debug_assert!(self.rob_has_space());
-        self.rob.push_back(RobEntry::Compute {
-            done_at: now + self.config.exec_latency as u64,
-        });
+        self.rob.push_back(now + self.config.exec_latency as u64);
         self.next_instr += 1;
         self.progress = true;
     }
 
-    /// Issue the pending memory instruction bound to request `req`
-    /// (caller checked `peek` and created the request).
-    pub fn issue_memory(&mut self, req: ReqId) {
+    /// Issue the pending memory instruction (caller checked `peek`; the
+    /// access's `instr` names it in [`Core::complete_request`]).
+    pub fn issue_memory(&mut self) {
         debug_assert!(self.rob_has_space());
         // Its request is only just created: it cannot have completed.
         self.head_waits |= self.rob.is_empty();
-        self.rob.push_back(RobEntry::Memory { req });
+        self.rob.push_back(PENDING);
         self.next_instr += 1;
         self.next_access += 1;
         self.progress = true;
@@ -288,15 +275,54 @@ mod tests {
             NextOp::Memory(a) => assert_eq!(a.addr, 64),
             other => panic!("expected memory, got {other:?}"),
         }
-        core.issue_memory(77);
+        core.issue_memory();
         core.retire(5);
         // The two computes retired; the memory op gates the head.
         assert_eq!(core.retired(), 2);
         core.retire(6);
         assert_eq!(core.retired(), 2);
-        core.complete_request(77);
+        // Dynamic instruction 2 is the access.
+        core.complete_request(2);
         core.retire(7);
         assert_eq!(core.retired(), 3);
+    }
+
+    #[test]
+    fn out_of_order_completions_retire_in_order() {
+        let mut b = TraceBuilder::new();
+        b.read(0).read(64).read(128).read(192);
+        let t = b.finish();
+        let mut core = Core::new(
+            CoreConfig {
+                issue_width: 4,
+                rob_size: 8,
+                exec_latency: 1,
+            },
+            &t,
+        );
+        let mut instrs = Vec::new();
+        while let NextOp::Memory(a) = core.peek() {
+            core.issue_memory();
+            instrs.push(a.instr);
+        }
+        assert_eq!(instrs, [0, 1, 2, 3]);
+        // The younger accesses complete first: nothing may retire past
+        // the waiting head.
+        core.complete_request(3);
+        core.complete_request(1);
+        core.retire(10);
+        assert_eq!(core.retired(), 0);
+        assert!(core.blocked_on_memory(), "the head still waits");
+        // The head completes: it and the completed access behind it
+        // retire, then the still-pending instruction 2 stops retirement.
+        core.complete_request(0);
+        core.retire(11);
+        assert_eq!(core.retired(), 2);
+        core.complete_request(2);
+        core.retire(12);
+        assert_eq!(core.retired(), 4);
+        assert!(core.finished());
+        assert_eq!(core.finished_at(), 12);
     }
 
     #[test]
@@ -324,12 +350,11 @@ mod tests {
         assert!(!core.finished());
         // Drive to completion manually.
         let mut now = 0u64;
-        let mut next_req = 0u64;
-        let mut pending: Vec<(u64, u64)> = Vec::new(); // (ready_at, req)
+        let mut pending: Vec<(u64, u64)> = Vec::new(); // (ready_at, instr)
         while !core.finished() && now < 1000 {
-            for (ready, req) in &pending {
+            for (ready, instr) in &pending {
                 if *ready <= now {
-                    core.complete_request(*req);
+                    core.complete_request(*instr);
                 }
             }
             pending.retain(|(ready, _)| *ready > now);
@@ -340,10 +365,9 @@ mod tests {
                 }
                 match core.peek() {
                     NextOp::Compute => core.issue_compute(now),
-                    NextOp::Memory(_) => {
-                        core.issue_memory(next_req);
-                        pending.push((now + 10, next_req));
-                        next_req += 1;
+                    NextOp::Memory(a) => {
+                        core.issue_memory();
+                        pending.push((now + 10, a.instr));
                     }
                     NextOp::Exhausted => break,
                 }

@@ -1,4 +1,8 @@
-//! In-flight memory request representation and state machine.
+//! In-flight memory request representation and state machine, the
+//! engine's request table ([`RequestArena`]) and its request-event
+//! queue ([`EventWheel`]).
+
+use c2_camat::detector::MissEpoch;
 
 /// Monotonic request identifier.
 pub type ReqId = u64;
@@ -65,14 +69,16 @@ pub struct MemRequest {
     pub line: u64,
     /// Store (write-allocate) vs load.
     pub is_write: bool,
-    /// Cycle the request entered the L1 pipeline.
-    pub issued_at: u64,
+    /// Dynamic instruction index of the access in its core's trace (the
+    /// core's ROB slot; unused by prefetches).
+    pub instr: u64,
     /// Cycle the L1 lookup resolved (start of the miss penalty if any).
     pub lookup_done_at: u64,
+    /// The core detector's stamp for the miss, set when the L1 lookup
+    /// misses and handed back when the access retires.
+    pub miss_epoch: MissEpoch,
     /// Current state.
     pub state: ReqState,
-    /// Whether the L1 lookup missed (for retirement accounting).
-    pub l1_miss: bool,
     /// Hardware prefetch (not a program access: no core/ detector
     /// notification on completion).
     pub is_prefetch: bool,
@@ -217,6 +223,89 @@ impl std::ops::Index<&ReqId> for RequestArena {
     }
 }
 
+/// The engine's request-event queue: a timing wheel that pops
+/// `(cycle, id)` events in exactly the order a
+/// `BinaryHeap<Reverse<(u64, ReqId)>>` would.
+///
+/// The ring has a power-of-two number of buckets, more than the longest
+/// delay an event is scheduled with, and bucket `cycle & mask` collects
+/// the ids due at `cycle` unsorted. The engine drains every cycle in
+/// turn ([`EventWheel::pop_due`]); a bucket is sorted by id when its
+/// cycle comes up. A push for the cycle being drained goes into that
+/// cycle's undrained remainder at its id position, where the heap
+/// would have popped it too.
+///
+/// Pending events fall in the `size` cycles after the one being
+/// drained (the latest is pushed before the next cycle's drain starts,
+/// `max_delay + 1 ≤ size` cycles ahead), so each bucket only ever holds
+/// one cycle's events.
+#[derive(Debug, Clone)]
+pub struct EventWheel {
+    buckets: Vec<Vec<ReqId>>,
+    mask: u64,
+    /// The cycle being drained (`u64::MAX` before the first).
+    cycle: u64,
+    /// That cycle's events, sorted by id; `current[next..]` are unpopped.
+    current: Vec<ReqId>,
+    next: usize,
+}
+
+impl EventWheel {
+    /// A wheel for events scheduled at most `max_delay` cycles after the
+    /// cycle being drained.
+    pub fn new(max_delay: u64) -> Self {
+        let size = (max_delay + 1).next_power_of_two();
+        EventWheel {
+            buckets: vec![Vec::new(); size as usize],
+            mask: size - 1,
+            cycle: u64::MAX,
+            current: Vec::new(),
+            next: 0,
+        }
+    }
+
+    /// Number of buckets in the ring.
+    pub fn size(&self) -> usize {
+        self.buckets.len()
+    }
+
+    /// Schedule `id` for cycle `when`: the cycle being drained, or one at
+    /// most `size` cycles after it.
+    pub fn push(&mut self, when: u64, id: ReqId) {
+        if when == self.cycle {
+            let at = self.next + self.current[self.next..].partition_point(|&x| x < id);
+            self.current.insert(at, id);
+        } else {
+            debug_assert!(
+                when.wrapping_sub(self.cycle) <= self.mask + 1,
+                "event at {when} outside the wheel's horizon from {}",
+                self.cycle
+            );
+            self.buckets[(when & self.mask) as usize].push(id);
+        }
+    }
+
+    /// Pop the lowest id due at `now`, draining the cycles in order:
+    /// `now` is the cycle being drained or the one after it.
+    pub fn pop_due(&mut self, now: u64) -> Option<ReqId> {
+        if now != self.cycle {
+            debug_assert_eq!(now, self.cycle.wrapping_add(1), "cycles drain in order");
+            debug_assert_eq!(self.next, self.current.len(), "undrained events");
+            self.cycle = now;
+            self.current.clear();
+            std::mem::swap(
+                &mut self.current,
+                &mut self.buckets[(now & self.mask) as usize],
+            );
+            self.current.sort_unstable();
+            self.next = 0;
+        }
+        let id = *self.current.get(self.next)?;
+        self.next += 1;
+        Some(id)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,10 +316,10 @@ mod tests {
             core: 0,
             line: 10,
             is_write: false,
-            issued_at: 0,
+            instr: 0,
             lookup_done_at: 3,
+            miss_epoch: MissEpoch::default(),
             state,
-            l1_miss: true,
             is_prefetch: false,
         }
     }
