@@ -195,6 +195,19 @@ fi
 cargo test -q --test phase_accuracy
 cargo test -q --test law_validation
 
+echo "== analytic plan: bounded KKT area split (DESIGN.md SS6) =="
+# Twenty plans are pinned bit for bit (case, split rung, skeleton and
+# the optimum's f64 bits); the solver tests cover the domain stop.
+cargo test -q -p c2-bound --test plan_golden
+cargo test -q -p c2-solver
+# The area split makes one bounded KKT attempt and then falls back to
+# the simplex; the restart cascade stays a library feature it must not
+# call.
+if grep -n 'solve_cascade' crates/core/src/optimize.rs; then
+    echo "error: crates/core/src/optimize.rs must not call solve_cascade" >&2
+    exit 1
+fi
+
 echo "== surrogate screening smoke (screened vs full, quick.json) =="
 # A screened sweep must stay under the scenario's true-evaluation
 # budget and still report a chosen design; the full run is the

@@ -320,7 +320,7 @@ impl Aps {
     }
 
     /// [`Aps::plan`] with the analysis stage instrumented: the final
-    /// KKT cascade reports to `sink` under the `solver` scope, and the
+    /// split's KKT attempt reports to `sink` under the `solver` scope, and the
     /// finished plan is announced under the `aps` scope.
     pub fn plan_observed(&self, sink: &dyn MetricsSink) -> Result<ApsPlan> {
         // An empty axis makes the space unusable (nothing to snap to,
