@@ -43,6 +43,25 @@ done
 cmp "${smoke_dir}/journal-t1.jsonl" "${smoke_dir}/journal-t4.jsonl"
 cmp "${smoke_dir}/metrics-t1.json" "${smoke_dir}/metrics-t4.json"
 
+echo "== one execution engine (DESIGN.md SS6b) =="
+# The legacy shared-queue pool is gone: every sweep runs the sharded
+# engine on RunConfig::parallelism() threads.
+if grep -rnE 'run_legacy|worker_loop|watchdog_loop|EngineState' crates/ src/; then
+    echo "error: crates/ and src/ must not mention the legacy pool" >&2
+    exit 1
+fi
+cargo test -q --test observability
+# `--workers 2` (threads 0) and `--threads 1` are the same engine on a
+# different thread count, so they write the same bytes.
+for mode in workers-2 threads-1; do
+    cargo run -q --bin c2bound-tool -- run --scenario examples/scenarios/quick.json \
+        "--${mode%-*}" "${mode#*-}" \
+        --journal "${smoke_dir}/engine-${mode}.jsonl" \
+        --metrics-out "${smoke_dir}/engine-${mode}.json" > /dev/null
+done
+cmp "${smoke_dir}/engine-workers-2.jsonl" "${smoke_dir}/engine-threads-1.jsonl"
+cmp "${smoke_dir}/engine-workers-2.json" "${smoke_dir}/engine-threads-1.json"
+
 echo "== crash matrix (library) =="
 cargo test -q -p c2-runner --test crash_matrix
 

@@ -116,9 +116,7 @@ fn runners() -> impl Strategy<Value = RunnerSpec> {
             )| {
                 RunnerSpec {
                     workers,
-                    // An enabled cache requires the sharded engine, so
-                    // keep the generated combination coherent.
-                    threads: if cached == 1 { threads.max(1) } else { threads },
+                    threads,
                     deadline_ms: deadline,
                     watchdog_tick_ms: tick,
                     max_attempts: attempts,

@@ -200,8 +200,8 @@ impl CircuitBreaker {
                     self.consecutive_failures = 0;
                 }
             }
-            // A success reported while open can only be a stale result
-            // from a timed-out worker; it carries no health signal.
+            // A success reported while open carries no health signal:
+            // only an admitted attempt may report one.
             BreakerState::Open => {}
         }
     }

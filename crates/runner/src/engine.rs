@@ -1,45 +1,48 @@
 //! The supervised sweep engine.
 //!
 //! [`SweepRunner::run_aps`] drives the refinement stage of APS as
-//! independent jobs on a bounded-queue worker pool:
+//! independent jobs on the deterministic sharded engine: the plan is
+//! partitioned into shards by a pure function of its size, and
+//! `RunConfig::parallelism()` OS threads claim whole shards and run
+//! each shard's jobs in `seq` order (DESIGN.md §10):
 //!
 //! * every job gets up to `max_attempts` oracle attempts, with
-//!   exponential-backoff delays (deterministically jittered) between
-//!   retries;
-//! * a per-attempt wall-clock **deadline** is enforced by a watchdog
-//!   thread: an attempt that outlives it is charged as a failure, its
-//!   worker is presumed stuck, and the job is requeued onto healthy
-//!   workers (the stuck worker's late result is discarded when it
-//!   finally surfaces);
-//! * a **circuit breaker** wraps the oracle: enough consecutive
-//!   failures trip it open and subsequent jobs are short-circuited to
-//!   calibrated analytic backfill instead of queueing up behind a sick
-//!   backend, with half-open probes deciding when to trust it again;
+//!   exponential-backoff delays (deterministically jittered, keyed to
+//!   the job's content) between retries;
+//! * each attempt is timed against the per-attempt wall-clock
+//!   **deadline**: an attempt that returns after it is charged as a
+//!   timeout — its result is discarded, the failure counts toward the
+//!   breaker, and the job retries with the usual backoff;
+//! * a per-shard **circuit breaker** wraps the oracle: enough
+//!   consecutive failures trip it open and the shard's next jobs are
+//!   short-circuited to calibrated analytic backfill instead of
+//!   queueing up behind a sick backend, with half-open probes
+//!   deciding when to trust it again;
 //! * an oracle that **panics** is isolated (`catch_unwind`): the job is
-//!   quarantined — terminated immediately, never re-queued — the panic
+//!   quarantined — terminated immediately, never retried — the panic
 //!   is charged to the breaker, the worker's oracle is rebuilt, and the
 //!   sweep degrades to analytic backfill instead of dying;
 //! * every terminal outcome is appended to a JSONL **journal** and
-//!   flushed immediately (fsync per the [`SyncPolicy`]), with periodic
-//!   per-shard breaker **checkpoints** so resume cost stops growing
-//!   with sweep length; a killed run resumes idempotently — a torn
-//!   journal tail is truncated away before appending, journaled jobs
-//!   are not re-run, the breaker is restored to the state the
-//!   interrupted run left it in, and the merged sweep is bit-identical
-//!   to an uninterrupted one (all fault injection is keyed to stable
-//!   job identities, never to call order);
+//!   flushed (fsync per the [`SyncPolicy`]), with periodic per-shard
+//!   breaker **checkpoints** so resume cost stops growing with sweep
+//!   length; a killed run resumes idempotently — a torn journal tail
+//!   is truncated away before appending, journaled jobs are not re-run,
+//!   each shard's breaker is restored to the state the interrupted run
+//!   left it in, and the merged sweep is bit-identical to an
+//!   uninterrupted one (all fault injection is keyed to stable job
+//!   identities, never to call order);
 //! * all storage I/O flows through the [`Storage`] trait, so a
 //!   [`ChaosPlan`] can inject torn writes, short writes, `ENOSPC`, and
 //!   crash-at-Nth-write underneath the engine — the crash-matrix
 //!   harness proves resume correctness at every write the engine
 //!   performs;
-//! * shutdown is graceful — the queue drains, the journal is flushed,
-//!   and a [`RunReport`] accounts for every job:
+//! * a completed run rewrites its journal canonically and returns a
+//!   [`RunReport`] that accounts for every job:
 //!   `attempted == succeeded + skipped + backfilled`.
 //!
 //! ## Resume bit-identity (DESIGN.md §10–§11)
 //!
-//! The sharded engine splits every job into a pure **decision**
+//! The engine splits every job into a pure **decision**
 //! ([`decide_sharded_job`], which runs the oracle against a *clone* of
 //! the shard breaker and emits nothing) and a deterministic **emission**
 //! ([`emit_job_events`], which drives the real breaker and emits the
@@ -66,17 +69,17 @@ use crate::journal::{
 use crate::shard::{partition, shard_of, BufferSink};
 use crate::storage::{DiskStorage, Storage};
 use crate::{Error, Result};
-use c2_bound::aps::{classify_oracle_result, ApsOutcome, ApsPlan, PointOutcome};
+use c2_bound::aps::{classify_oracle_result, ApsOutcome, ApsPlan, PointOutcome, RefinementJob};
 use c2_bound::backend::BackendSweep;
 use c2_bound::dse::Oracle;
 use c2_bound::ResiliencePolicy;
 use c2_obs::{names, MetricsSink, NullSink};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Histogram ladder for retry backoff delays (milliseconds).
@@ -87,19 +90,16 @@ const ATTEMPTS_PER_JOB_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0];
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
-    /// Worker threads in the pool (≥ 1).
+    /// OS threads when `threads` is 0 (≥ 1).
     pub workers: usize,
-    /// Deterministic sharded execution: OS threads draining the shard
-    /// set. `0` (the default) selects the legacy shared-queue pool
-    /// driven by `workers`; any value ≥ 1 selects the sharded engine,
-    /// whose merged journal, metrics, and outcome are bit-identical
-    /// for every thread count (DESIGN.md §10). The sharded engine has
-    /// no watchdog, so `deadline_ms` is ignored there.
+    /// OS threads draining the shard set; `0` (the default) runs on
+    /// `workers` threads instead (see [`RunConfig::parallelism`]). The
+    /// merged journal, metrics, and outcome are bit-identical for
+    /// every thread count whenever no attempt crosses its deadline
+    /// (DESIGN.md §10).
     pub threads: usize,
     /// Content-addressed evaluation cache file; `None` disables
-    /// memoization. Only the sharded engine consults the cache, so
-    /// setting a path with `threads == 0` is rejected by
-    /// [`RunConfig::validate`] rather than silently ignored.
+    /// memoization.
     pub cache_path: Option<PathBuf>,
     /// Extra run identity bound into evaluation-cache addresses, for
     /// runs whose journal deliberately stays fingerprint-free. The
@@ -110,16 +110,11 @@ pub struct RunConfig {
     /// (but harmless) when `scenario_fingerprint` is set.
     pub cache_fingerprint: Option<u64>,
     /// Per-attempt wall-clock deadline in milliseconds; 0 disables the
-    /// deadline and the watchdog.
+    /// deadline. An attempt that returns after it is charged as a
+    /// timeout and its result discarded.
     pub deadline_ms: u64,
-    /// Watchdog scan period in milliseconds (≥ 1).
-    pub watchdog_tick_ms: u64,
     /// Maximum oracle attempts per job (≥ 1).
     pub max_attempts: usize,
-    /// Bounded-queue capacity for freshly seeded jobs (≥ 1). Retries
-    /// and watchdog requeues bypass the bound so recovery can never
-    /// deadlock against admission.
-    pub queue_capacity: usize,
     /// Retry backoff schedule.
     pub backoff: BackoffPolicy,
     /// Circuit-breaker tuning.
@@ -131,9 +126,9 @@ pub struct RunConfig {
     /// checkpoint lines and before atomic renames.
     pub sync: SyncPolicy,
     /// Write a per-shard breaker checkpoint into the journal every
-    /// this many appended records (0 disables checkpointing). Only the
-    /// sharded engine checkpoints; checkpoints bound how many records
-    /// the fast resume path must replay.
+    /// this many appended records (0 disables checkpointing).
+    /// Checkpoints bound how many records the fast resume path must
+    /// replay.
     pub checkpoint_every: usize,
     /// Deterministic storage-fault injection plan for the crash/chaos
     /// harness; `None` (or an all-`None` plan) runs on plain disk.
@@ -157,9 +152,7 @@ impl Default for RunConfig {
             cache_path: None,
             cache_fingerprint: None,
             deadline_ms: 0,
-            watchdog_tick_ms: 5,
             max_attempts: 2,
-            queue_capacity: 64,
             backoff: BackoffPolicy::default(),
             breaker: BreakerPolicy::default(),
             analytic_fallback: true,
@@ -198,14 +191,9 @@ impl RunConfig {
             cache_path,
             cache_fingerprint: None,
             deadline_ms: spec.deadline_ms,
-            watchdog_tick_ms: spec.watchdog_tick_ms,
             max_attempts: narrow(
                 spec.max_attempts,
                 "max_attempts exceeds the platform word size",
-            )?,
-            queue_capacity: narrow(
-                spec.queue_capacity,
-                "queue_capacity exceeds the platform word size",
             )?,
             backoff: BackoffPolicy {
                 base_ms: spec.backoff.base_ms,
@@ -263,25 +251,21 @@ impl RunConfig {
         if self.max_attempts == 0 {
             return Err(Error::InvalidConfig("max_attempts must be positive"));
         }
-        if self.queue_capacity == 0 {
-            return Err(Error::InvalidConfig("queue_capacity must be positive"));
-        }
-        if self.watchdog_tick_ms == 0 {
-            return Err(Error::InvalidConfig("watchdog_tick_ms must be positive"));
-        }
-        if self.cache_path.is_some() && self.threads == 0 {
-            // The legacy pool never consults the cache; accepting the
-            // path there would let users believe memoization is active
-            // when it is not.
-            return Err(Error::InvalidConfig(
-                "the evaluation cache requires the sharded engine (set threads >= 1)",
-            ));
-        }
         if let Some(chaos) = &self.chaos {
             chaos.validate()?;
         }
         self.backoff.validate()?;
         self.breaker.validate()
+    }
+
+    /// OS threads the engine runs on: `threads`, or `workers` when
+    /// `threads` is 0. The only place the two knobs are reconciled.
+    pub fn parallelism(&self) -> usize {
+        if self.threads == 0 {
+            self.workers
+        } else {
+            self.threads
+        }
     }
 
     /// The core-side resilience policy this configuration implies.
@@ -364,29 +348,27 @@ pub struct SweepRunner {
     config: RunConfig,
 }
 
-/// One queued attempt of a job.
-#[derive(Debug, Clone, Copy)]
-struct Attempt {
-    seq: usize,
-    attempt: usize,
-}
-
-/// An attempt currently executing on a worker.
-#[derive(Debug, Clone, Copy)]
-struct Running {
-    attempt: usize,
-    generation: u64,
-    started: Instant,
-}
-
 /// A job's terminal outcome plus engine-side bookkeeping.
 #[derive(Debug, Clone)]
-struct Terminal {
+pub(crate) struct Terminal {
     outcome: PointOutcome,
     short_circuited: bool,
     timeouts: usize,
     cached: bool,
     quarantined: bool,
+}
+
+impl Terminal {
+    /// A plain (not short-circuited, cached or quarantined) outcome.
+    fn new(attempts: usize, result: c2_bound::Result<f64>, timeouts: usize) -> Self {
+        Terminal {
+            outcome: PointOutcome { attempts, result },
+            short_circuited: false,
+            timeouts,
+            cached: false,
+            quarantined: false,
+        }
+    }
 }
 
 /// Reject a zero-job refinement plan before any journal or cache file
@@ -412,452 +394,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-struct EngineState {
-    queue: VecDeque<Attempt>,
-    running: HashMap<usize, Running>,
-    generations: Vec<u64>,
-    timeouts_per_job: Vec<usize>,
-    terminals: Vec<Option<Terminal>>,
-    breaker: CircuitBreaker,
-    pending: usize,
-    terminals_this_run: usize,
-    aborted: bool,
-    shutdown: bool,
-    journal: Option<JournalWriter>,
-    journal_error: Option<Error>,
-}
-
-struct Shared<'a> {
-    state: Mutex<EngineState>,
-    work_cv: Condvar,
-    done_cv: Condvar,
-    plan: &'a ApsPlan,
-    config: &'a RunConfig,
-    sink: &'a dyn MetricsSink,
-    ops: &'a dyn MetricsSink,
-}
-
-impl Shared<'_> {
-    fn lock(&self) -> MutexGuard<'_, EngineState> {
-        // A panicking oracle poisons the mutex; the state itself is
-        // still sound (we never leave it mid-update), so keep draining
-        // rather than cascading the panic through every worker.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn wait<'g>(
-        &self,
-        guard: MutexGuard<'g, EngineState>,
-        cv: &Condvar,
-    ) -> MutexGuard<'g, EngineState> {
-        cv.wait(guard).unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Drain and publish the breaker's latest state transition, if any.
-/// Called (under the state lock) after every `admit`/`on_success`/
-/// `on_failure`, each of which changes state at most once.
-fn note_breaker(shared: &Shared, st: &mut EngineState) {
-    if let Some(tr) = st.breaker.take_transition() {
-        shared
-            .sink
-            .counter_add("engine_breaker_transitions_total", 1);
-        if tr.to == BreakerState::Open {
-            shared.sink.counter_add("engine_breaker_trips_total", 1);
-        }
-        shared
-            .sink
-            .gauge_set("engine_breaker_state", tr.to.as_gauge());
-        shared.sink.event(
-            "engine",
-            "breaker.transition",
-            &[
-                ("from", tr.from.as_str().into()),
-                ("to", tr.to.as_str().into()),
-            ],
-        );
-    }
-}
-
-/// Record a terminal outcome: journal it, retire the job, and decide
-/// whether the run is over (drained or aborted).
-fn finish(shared: &Shared, st: &mut EngineState, seq: usize, terminal: Terminal) {
-    if st.terminals[seq].is_some() {
-        return; // already terminal (defensive; generations prevent this)
-    }
-    if let Some(journal) = st.journal.as_mut() {
-        let record = JobRecord {
-            seq,
-            attempts: terminal.outcome.attempts,
-            timeouts: terminal.timeouts,
-            result: terminal
-                .outcome
-                .result
-                .as_ref()
-                .map(|t| *t)
-                .map_err(error_message),
-            short_circuited: terminal.short_circuited,
-            cached: terminal.cached,
-            quarantined: terminal.quarantined,
-        };
-        match journal.record(&record) {
-            Ok(()) => {
-                shared.sink.counter_add("engine_journal_appends_total", 1);
-                shared
-                    .sink
-                    .event("engine", "journal.append", &[("seq", seq.into())]);
-            }
-            Err(e) => {
-                // A dead journal means resumability is already lost; stop
-                // the run instead of silently continuing unjournaled.
-                shared
-                    .ops
-                    .counter_add(names::ENGINE_STORAGE_FAULTS_TOTAL, 1);
-                shared.ops.event(
-                    "engine",
-                    "storage.fault",
-                    &[
-                        ("op", "journal.append".into()),
-                        ("error", e.to_string().into()),
-                    ],
-                );
-                st.journal_error = Some(e);
-                st.aborted = true;
-            }
-        }
-    }
-    let mut fields: Vec<(&str, c2_obs::FieldValue)> = vec![
-        ("seq", seq.into()),
-        ("attempts", terminal.outcome.attempts.into()),
-        ("timeouts", terminal.timeouts.into()),
-        ("ok", terminal.outcome.result.is_ok().into()),
-        ("short_circuited", terminal.short_circuited.into()),
-    ];
-    if terminal.quarantined {
-        fields.push(("quarantined", true.into()));
-    }
-    shared.sink.event("engine", "job.terminal", &fields);
-    st.terminals[seq] = Some(terminal);
-    st.generations[seq] += 1; // invalidate any stale in-flight attempt
-    st.pending -= 1;
-    st.terminals_this_run += 1;
-    if let Some(limit) = shared.config.abort_after {
-        if st.terminals_this_run >= limit {
-            st.aborted = true;
-        }
-    }
-    if st.pending == 0 || st.aborted {
-        st.shutdown = true;
-        st.queue.clear();
-        shared.work_cv.notify_all();
-    }
-    shared.done_cv.notify_all();
-}
-
-/// Worker thread: pop admitted attempts and run them. Each worker owns
-/// one oracle built by `make_oracle`; an oracle that panics is
-/// discarded and rebuilt (whatever internal state it held is suspect),
-/// and the panicking job is quarantined — terminated immediately with
-/// no retries and never re-queued.
-fn worker_loop<O: Oracle, B: Fn() -> O>(shared: &Shared, make_oracle: &B) {
-    let mut oracle = make_oracle();
-    loop {
-        // --- pop + breaker admission (one critical section) ---------
-        let (task, generation) = {
-            let mut st = shared.lock();
-            let task = loop {
-                if st.shutdown {
-                    return;
-                }
-                if let Some(a) = st.queue.pop_front() {
-                    shared.done_cv.notify_all(); // queue capacity freed
-                    let admission = st.breaker.admit();
-                    note_breaker(shared, &mut st);
-                    match admission {
-                        Admission::Admit => {
-                            shared.sink.counter_add("engine_attempts_total", 1);
-                            shared.sink.event(
-                                "engine",
-                                "attempt.started",
-                                &[("seq", a.seq.into()), ("attempt", a.attempt.into())],
-                            );
-                            break a;
-                        }
-                        Admission::ShortCircuit => {
-                            shared.sink.counter_add("engine_short_circuits_total", 1);
-                            shared.sink.event(
-                                "engine",
-                                "job.short_circuited",
-                                &[("seq", a.seq.into())],
-                            );
-                            let timeouts = st.timeouts_per_job[a.seq];
-                            finish(
-                                shared,
-                                &mut st,
-                                a.seq,
-                                Terminal {
-                                    outcome: PointOutcome {
-                                        attempts: a.attempt - 1,
-                                        result: Err(c2_bound::Error::Simulation(
-                                            "circuit breaker open: oracle attempt not admitted"
-                                                .to_string(),
-                                        )),
-                                    },
-                                    short_circuited: true,
-                                    timeouts,
-                                    cached: false,
-                                    quarantined: false,
-                                },
-                            );
-                            continue;
-                        }
-                    }
-                }
-                st = shared.wait(st, &shared.work_cv);
-            };
-            (task, st.generations[task.seq])
-        };
-
-        // --- backoff (outside the lock, before the deadline clock) --
-        if task.attempt >= 2 {
-            let key = shared.plan.jobs[task.seq].content_key();
-            std::thread::sleep(shared.config.backoff.delay(key, task.attempt));
-        }
-
-        // --- register with the watchdog and run the oracle ----------
-        {
-            let mut st = shared.lock();
-            if st.shutdown && st.aborted {
-                return; // simulated crash: drop the attempt on the floor
-            }
-            if st.generations[task.seq] != generation {
-                continue; // retired while we were backing off
-            }
-            st.running.insert(
-                task.seq,
-                Running {
-                    attempt: task.attempt,
-                    generation,
-                    started: Instant::now(),
-                },
-            );
-        }
-        let point = &shared.plan.jobs[task.seq].point;
-        let evaluated = catch_unwind(AssertUnwindSafe(|| {
-            classify_oracle_result(oracle.evaluate(task.seq as u64, point))
-        }));
-        let (result, quarantined) = match evaluated {
-            Ok(r) => (r, false),
-            Err(payload) => {
-                // Panic isolation: the oracle's internal state is
-                // suspect after an unwind, so rebuild it before the
-                // worker takes another job.
-                oracle = make_oracle();
-                (
-                    Err(c2_bound::Error::Simulation(format!(
-                        "oracle panicked: {}",
-                        panic_message(payload.as_ref())
-                    ))),
-                    true,
-                )
-            }
-        };
-
-        // --- report -------------------------------------------------
-        let mut st = shared.lock();
-        if st.generations[task.seq] != generation {
-            // The watchdog declared this attempt dead (or the job is
-            // otherwise retired); whatever we computed is stale.
-            continue;
-        }
-        st.running.remove(&task.seq);
-        if st.aborted {
-            continue;
-        }
-        match result {
-            Ok(t) => {
-                st.breaker.on_success();
-                note_breaker(shared, &mut st);
-                shared.sink.counter_add("engine_attempt_successes_total", 1);
-                shared.sink.event(
-                    "engine",
-                    "attempt.ok",
-                    &[
-                        ("seq", task.seq.into()),
-                        ("attempt", task.attempt.into()),
-                        ("time", t.into()),
-                    ],
-                );
-                let timeouts = st.timeouts_per_job[task.seq];
-                finish(
-                    shared,
-                    &mut st,
-                    task.seq,
-                    Terminal {
-                        outcome: PointOutcome {
-                            attempts: task.attempt,
-                            result: Ok(t),
-                        },
-                        short_circuited: false,
-                        timeouts,
-                        cached: false,
-                        quarantined: false,
-                    },
-                );
-            }
-            Err(e) => {
-                st.breaker.on_failure();
-                note_breaker(shared, &mut st);
-                // A quarantined job never retries: its oracle panicked,
-                // and re-running the same stable key would panic again.
-                let will_retry = !quarantined && task.attempt < shared.config.max_attempts;
-                shared.sink.counter_add("engine_attempt_failures_total", 1);
-                shared.sink.event(
-                    "engine",
-                    "attempt.failed",
-                    &[
-                        ("seq", task.seq.into()),
-                        ("attempt", task.attempt.into()),
-                        ("error", e.to_string().into()),
-                        ("will_retry", will_retry.into()),
-                    ],
-                );
-                if will_retry {
-                    let next = task.attempt + 1;
-                    let key = shared.plan.jobs[task.seq].content_key();
-                    let delay_ms = shared.config.backoff.delay(key, next).as_millis() as u64;
-                    shared.sink.counter_add("engine_retries_scheduled_total", 1);
-                    shared.sink.observe(
-                        "engine_backoff_delay_ms",
-                        BACKOFF_DELAY_BOUNDS,
-                        delay_ms as f64,
-                    );
-                    shared.sink.event(
-                        "engine",
-                        "retry.scheduled",
-                        &[
-                            ("seq", task.seq.into()),
-                            ("attempt", next.into()),
-                            ("delay_ms", delay_ms.into()),
-                        ],
-                    );
-                    st.queue.push_back(Attempt {
-                        seq: task.seq,
-                        attempt: next,
-                    });
-                    shared.work_cv.notify_one();
-                } else {
-                    if quarantined {
-                        shared.sink.counter_add(names::ENGINE_QUARANTINED_TOTAL, 1);
-                        shared
-                            .sink
-                            .event("engine", "job.quarantined", &[("seq", task.seq.into())]);
-                    }
-                    let timeouts = st.timeouts_per_job[task.seq];
-                    finish(
-                        shared,
-                        &mut st,
-                        task.seq,
-                        Terminal {
-                            outcome: PointOutcome {
-                                attempts: task.attempt,
-                                result: Err(e),
-                            },
-                            short_circuited: false,
-                            timeouts,
-                            cached: false,
-                            quarantined,
-                        },
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Watchdog thread: requeue attempts that blew their deadline.
-fn watchdog_loop(shared: &Shared) {
-    let deadline = Duration::from_millis(shared.config.deadline_ms);
-    let tick = Duration::from_millis(shared.config.watchdog_tick_ms);
-    loop {
-        {
-            let mut st = shared.lock();
-            if st.shutdown {
-                return;
-            }
-            let now = Instant::now();
-            let expired: Vec<(usize, Running)> = st
-                .running
-                .iter()
-                .filter(|(_, r)| now.duration_since(r.started) > deadline)
-                .map(|(&seq, &r)| (seq, r))
-                .collect();
-            for (seq, r) in expired {
-                if st.generations[seq] != r.generation {
-                    continue;
-                }
-                // Presume the worker stuck: invalidate its attempt so
-                // its late result is discarded, charge a failure, and
-                // put the job back for a healthy worker.
-                st.running.remove(&seq);
-                st.generations[seq] += 1;
-                st.timeouts_per_job[seq] += 1;
-                st.breaker.on_failure();
-                note_breaker(shared, &mut st);
-                shared.sink.counter_add("engine_timeouts_total", 1);
-                shared.sink.event(
-                    "engine",
-                    "watchdog.timeout",
-                    &[("seq", seq.into()), ("attempt", r.attempt.into())],
-                );
-                if r.attempt < shared.config.max_attempts {
-                    let next = r.attempt + 1;
-                    let key = shared.plan.jobs[seq].content_key();
-                    let delay_ms = shared.config.backoff.delay(key, next).as_millis() as u64;
-                    shared.sink.counter_add("engine_retries_scheduled_total", 1);
-                    shared.sink.observe(
-                        "engine_backoff_delay_ms",
-                        BACKOFF_DELAY_BOUNDS,
-                        delay_ms as f64,
-                    );
-                    shared.sink.event(
-                        "engine",
-                        "retry.scheduled",
-                        &[
-                            ("seq", seq.into()),
-                            ("attempt", next.into()),
-                            ("delay_ms", delay_ms.into()),
-                        ],
-                    );
-                    st.queue.push_back(Attempt { seq, attempt: next });
-                    shared.work_cv.notify_one();
-                } else {
-                    let timeouts = st.timeouts_per_job[seq];
-                    finish(
-                        shared,
-                        &mut st,
-                        seq,
-                        Terminal {
-                            outcome: PointOutcome {
-                                attempts: r.attempt,
-                                result: Err(c2_bound::Error::Simulation(format!(
-                                    "attempt exceeded the {} ms deadline",
-                                    shared.config.deadline_ms
-                                ))),
-                            },
-                            short_circuited: false,
-                            timeouts,
-                            cached: false,
-                            quarantined: false,
-                        },
-                    );
-                }
-            }
-        }
-        std::thread::sleep(tick);
     }
 }
 
@@ -930,27 +466,17 @@ impl SweepRunner {
         O: Oracle,
         B: Fn() -> O + Sync,
     {
-        if self.config.threads > 0 {
-            // The unobserved path resumes through breaker checkpoints
-            // (restore + tail replay) instead of reconstructing the
-            // full event stream nobody is listening to.
-            return self.run_sharded(
-                sweep,
-                make_oracle,
-                journal_path,
-                resume,
-                &NullSink,
-                &NullSink,
-                false,
-            );
-        }
-        self.run_legacy(
+        // The unobserved path resumes through breaker checkpoints
+        // (restore + tail replay) instead of reconstructing the full
+        // event stream nobody is listening to.
+        self.run_sharded(
             sweep,
             make_oracle,
             journal_path,
             resume,
             &NullSink,
             &NullSink,
+            false,
         )
     }
 
@@ -1001,221 +527,28 @@ impl SweepRunner {
         O: Oracle,
         B: Fn() -> O + Sync,
     {
-        if self.config.threads > 0 {
-            return self.run_sharded(sweep, make_oracle, journal_path, resume, sink, ops, true);
-        }
-        self.run_legacy(sweep, make_oracle, journal_path, resume, sink, ops)
-    }
-
-    /// The legacy shared-queue pool (`threads == 0`).
-    fn run_legacy<O, B>(
-        &self,
-        sweep: &dyn BackendSweep,
-        make_oracle: B,
-        journal_path: Option<&Path>,
-        resume: bool,
-        sink: &dyn MetricsSink,
-        ops: &dyn MetricsSink,
-    ) -> Result<RunSummary>
-    where
-        O: Oracle,
-        B: Fn() -> O + Sync,
-    {
-        let storage = self.storage();
-        let plan = sweep.plan_observed(sink)?;
-        ensure_plan_nonempty(plan.jobs.len())?;
-        let header = JournalHeader {
-            jobs: plan.jobs.len(),
-            fingerprint: journal::bind_fingerprint(
-                journal::bind_fingerprint(
-                    plan_fingerprint(&plan),
-                    self.config.scenario_fingerprint,
-                ),
-                journal::backend_fingerprint(sweep.identity()),
-            ),
-        };
-
-        let mut terminals: Vec<Option<Terminal>> = vec![None; plan.jobs.len()];
-        let mut breaker = CircuitBreaker::new(self.config.breaker)?;
-        let mut resumed = 0usize;
-        let journal = match journal_path {
-            None => None,
-            Some(path) => {
-                if resume && path.exists() {
-                    let contents = journal::load_with(storage.as_ref(), path)?;
-                    if contents.header != header {
-                        return Err(Error::Journal(format!(
-                            "journal {path:?} belongs to a different sweep \
-                             (jobs {} fingerprint {:#x}, expected jobs {} fingerprint {:#x})",
-                            contents.header.jobs,
-                            contents.header.fingerprint,
-                            header.jobs,
-                            header.fingerprint
-                        )));
-                    }
-                    if contents.truncated_tail {
-                        // Cut the torn tail off *before* appending so a
-                        // second crash cannot concatenate onto it.
-                        storage.truncate(path, contents.valid_len as u64)?;
-                        ops.counter_add(names::ENGINE_JOURNAL_TRUNCATION_REPAIRS_TOTAL, 1);
-                        ops.event(
-                            "engine",
-                            "journal.truncated",
-                            &[("valid_len", contents.valid_len.into())],
-                        );
-                    }
-                    for record in &contents.records {
-                        let slot = terminals.get_mut(record.seq).ok_or_else(|| {
-                            Error::Journal(format!(
-                                "journal record seq {} out of range",
-                                record.seq
-                            ))
-                        })?;
-                        replay_breaker(&mut breaker, record);
-                        // Replay reconstructs state the original run
-                        // already traced; don't re-emit its transitions.
-                        let _ = breaker.take_transition();
-                        *slot = Some(Terminal {
-                            outcome: record.point_outcome(),
-                            short_circuited: record.short_circuited,
-                            timeouts: record.timeouts,
-                            cached: record.cached,
-                            quarantined: record.quarantined,
-                        });
-                        resumed += 1;
-                    }
-                    sink.counter_add("engine_journal_replayed_total", resumed as u64);
-                    sink.event(
-                        "engine",
-                        "journal.replayed",
-                        &[
-                            ("records", resumed.into()),
-                            ("breaker_state", breaker.state().as_str().into()),
-                        ],
-                    );
-                    Some(JournalWriter::append_with(
-                        storage.as_ref(),
-                        self.config.sync,
-                        path,
-                    )?)
-                } else {
-                    Some(JournalWriter::create_with(
-                        storage.as_ref(),
-                        self.config.sync,
-                        path,
-                        &header,
-                    )?)
-                }
-            }
-        };
-
-        let pending = terminals.iter().filter(|t| t.is_none()).count();
-        sink.gauge_set("engine_plan_jobs", plan.jobs.len() as f64);
-        sink.gauge_set("engine_breaker_state", breaker.state().as_gauge());
-        sink.event(
-            "engine",
-            "run.start",
-            &[
-                ("jobs", plan.jobs.len().into()),
-                ("pending", pending.into()),
-                ("resumed", resumed.into()),
-                ("workers", self.config.workers.into()),
-            ],
-        );
-        let shared = Shared {
-            state: Mutex::new(EngineState {
-                queue: VecDeque::new(),
-                running: HashMap::new(),
-                generations: vec![0; plan.jobs.len()],
-                timeouts_per_job: terminals
-                    .iter()
-                    .map(|t| t.as_ref().map_or(0, |t| t.timeouts))
-                    .collect(),
-                terminals,
-                breaker,
-                pending,
-                terminals_this_run: 0,
-                aborted: false,
-                shutdown: pending == 0,
-                journal,
-                journal_error: None,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            plan: &plan,
-            config: &self.config,
-            sink,
-            ops,
-        };
-
-        if pending > 0 {
-            std::thread::scope(|scope| {
-                for _ in 0..self.config.workers {
-                    let shared = &shared;
-                    let make_oracle = &make_oracle;
-                    scope.spawn(move || worker_loop(shared, make_oracle));
-                }
-                if self.config.deadline_ms > 0 {
-                    let shared = &shared;
-                    scope.spawn(move || watchdog_loop(shared));
-                }
-                // Seed the bounded queue with every non-journaled job.
-                let mut st = shared.lock();
-                for seq in 0..plan.jobs.len() {
-                    if st.terminals[seq].is_some() {
-                        continue;
-                    }
-                    while !st.shutdown && st.queue.len() >= self.config.queue_capacity {
-                        st = shared.wait(st, &shared.done_cv);
-                    }
-                    if st.shutdown {
-                        break;
-                    }
-                    st.queue.push_back(Attempt { seq, attempt: 1 });
-                    shared.work_cv.notify_one();
-                }
-                // Wait for drain (or the simulated crash).
-                while !st.shutdown {
-                    st = shared.wait(st, &shared.done_cv);
-                }
-                drop(st);
-            });
-        }
-
-        let mut st = shared.state.into_inner().unwrap_or_else(|e| e.into_inner());
-        // Flush-and-close before reporting: the journal must be
-        // durable by the time the caller sees the report.
-        st.journal = None;
-        if let Some(e) = st.journal_error.take() {
-            return Err(e);
-        }
-
-        let trips = st.breaker.trips();
-        self.assemble_and_report(sweep, plan, st.terminals, resumed, trips, sink, false)
+        self.run_sharded(sweep, make_oracle, journal_path, resume, sink, ops, true)
     }
 }
 
-// ---------------------------------------------------------------------------
-// The deterministic sharded engine (`threads` ≥ 1)
-// ---------------------------------------------------------------------------
-
-/// Drain and publish a breaker transition through any sink (the
-/// sharded engine's per-shard buffers tag the transition with the
-/// shard that owns the breaker).
-fn note_breaker_sink(sink: &dyn MetricsSink, breaker: &mut CircuitBreaker, shard: Option<usize>) {
+/// Drain and publish a breaker transition into a shard buffer, tagged
+/// with the shard that owns the breaker.
+fn note_breaker(sink: &dyn MetricsSink, breaker: &mut CircuitBreaker, shard: usize) {
     if let Some(tr) = breaker.take_transition() {
         sink.counter_add("engine_breaker_transitions_total", 1);
         if tr.to == BreakerState::Open {
             sink.counter_add("engine_breaker_trips_total", 1);
         }
         sink.gauge_set("engine_breaker_state", tr.to.as_gauge());
-        let mut fields: Vec<(&str, c2_obs::FieldValue)> = Vec::with_capacity(3);
-        if let Some(i) = shard {
-            fields.push(("shard", i.into()));
-        }
-        fields.push(("from", tr.from.as_str().into()));
-        fields.push(("to", tr.to.as_str().into()));
-        sink.event("engine", "breaker.transition", &fields);
+        sink.event(
+            "engine",
+            "breaker.transition",
+            &[
+                ("shard", shard.into()),
+                ("from", tr.from.as_str().into()),
+                ("to", tr.to.as_str().into()),
+            ],
+        );
     }
 }
 
@@ -1223,7 +556,7 @@ fn note_breaker_sink(sink: &dyn MetricsSink, breaker: &mut CircuitBreaker, shard
 /// of the resume-replay construction, and exact both ways: errors are
 /// reduced through [`error_message`] and times use shortest round-trip
 /// formatting, so record → terminal → record is the identity.
-fn record_of(seq: usize, t: &Terminal) -> JobRecord {
+pub(crate) fn record_of(seq: usize, t: &Terminal) -> JobRecord {
     JobRecord {
         seq,
         attempts: t.outcome.attempts,
@@ -1237,7 +570,7 @@ fn record_of(seq: usize, t: &Terminal) -> JobRecord {
 
 /// The terminal outcome a journal record canonically encodes (the
 /// other direction of [`record_of`]).
-fn terminal_of(record: &JobRecord) -> Terminal {
+pub(crate) fn terminal_of(record: &JobRecord) -> Terminal {
     Terminal {
         outcome: record.point_outcome(),
         short_circuited: record.short_circuited,
@@ -1301,11 +634,97 @@ fn replayable(breaker: &CircuitBreaker, attempts: usize) -> bool {
     true
 }
 
+/// Run one job's oracle attempts — the single attempt loop behind
+/// every sweep (the sharded engine's jobs and screening's rounds):
+///
+/// * each retry first sleeps its content-keyed backoff delay;
+/// * each attempt is timed, and one that returns after `deadline_ms`
+///   is charged as a timeout: its result is discarded and it counts as
+///   a failed attempt (the final one fails the job with "attempt
+///   exceeded the N ms deadline");
+/// * an oracle that panics quarantines the job at that attempt — no
+///   retries, because the panic is keyed to the job and would recur,
+///   and even when the attempt was also late, because the unwound
+///   oracle cannot serve a retry.
+///
+/// `probe`, when given, is a clone of the shard's circuit breaker:
+/// every attempt must be admitted by it and every failed attempt is
+/// recorded on it. Screening keeps no breaker and passes `None`. The
+/// returned flag is true when the oracle unwound and must be rebuilt
+/// before the next job.
+pub(crate) fn attempt_job<O: Oracle>(
+    config: &RunConfig,
+    job: &RefinementJob,
+    oracle: &mut O,
+    mut probe: Option<&mut CircuitBreaker>,
+) -> (Terminal, bool) {
+    let deadline = Duration::from_millis(config.deadline_ms);
+    let mut timeouts = 0usize;
+    let mut attempt = 1usize;
+    loop {
+        if let Some(b) = probe.as_deref_mut() {
+            if b.admit() == Admission::ShortCircuit {
+                let refused = c2_bound::Error::Simulation(
+                    "circuit breaker open: oracle attempt not admitted".to_string(),
+                );
+                let terminal = Terminal::new(attempt - 1, Err(refused), timeouts);
+                return (
+                    Terminal {
+                        short_circuited: true,
+                        ..terminal
+                    },
+                    false,
+                );
+            }
+        }
+        if attempt >= 2 {
+            std::thread::sleep(config.backoff.delay(job.content_key(), attempt));
+        }
+        let started = Instant::now();
+        let evaluated = catch_unwind(AssertUnwindSafe(|| {
+            classify_oracle_result(oracle.evaluate(job.seq as u64, &job.point))
+        }));
+        let late = config.deadline_ms > 0 && started.elapsed() > deadline;
+        let error = match evaluated {
+            Err(payload) => {
+                let panicked = c2_bound::Error::Simulation(format!(
+                    "oracle panicked: {}",
+                    panic_message(payload.as_ref())
+                ));
+                let terminal = Terminal::new(attempt, Err(panicked), timeouts);
+                return (
+                    Terminal {
+                        quarantined: true,
+                        ..terminal
+                    },
+                    true,
+                );
+            }
+            Ok(_) if late => {
+                timeouts += 1;
+                c2_bound::Error::Simulation(format!(
+                    "attempt exceeded the {} ms deadline",
+                    config.deadline_ms
+                ))
+            }
+            Ok(Ok(t)) => return (Terminal::new(attempt, Ok(t), timeouts), false),
+            Ok(Err(e)) => e,
+        };
+        if let Some(b) = probe.as_deref_mut() {
+            b.on_failure();
+        }
+        if attempt >= config.max_attempts {
+            return (Terminal::new(attempt, Err(error), timeouts), false);
+        }
+        attempt += 1;
+    }
+}
+
 /// Decide one job's terminal outcome inside a shard, **emitting
-/// nothing**: the oracle runs against a *clone* of the shard breaker,
-/// so the real breaker and the sinks are untouched. The returned
-/// `bool` is the panic-poison flag: `true` means the oracle unwound
-/// and the worker must rebuild it before the next job.
+/// nothing**: the cache and the oracle run against *clones* of the
+/// shard breaker, so the real breaker and the sinks are untouched. The
+/// returned `bool` is the panic-poison flag: `true` means the oracle
+/// unwound and the worker must rebuild it before the next job.
 ///
 /// [`emit_job_events`] later replays the decision's canonical record
 /// through the real breaker — the identical function that replays
@@ -1325,123 +744,37 @@ fn decide_sharded_job<O: Oracle>(
     oracle: &mut O,
     seq: usize,
 ) -> (Terminal, bool) {
-    let job = &plan.jobs[seq];
-    let content = job.content_key();
-    let mut probe = breaker.clone();
-    let mut attempt = 1usize;
-    loop {
-        if probe.admit() == Admission::ShortCircuit {
-            return (
-                Terminal {
-                    outcome: PointOutcome {
-                        attempts: attempt - 1,
-                        result: Err(c2_bound::Error::Simulation(
-                            "circuit breaker open: oracle attempt not admitted".to_string(),
-                        )),
-                    },
-                    short_circuited: true,
-                    timeouts: 0,
-                    cached: false,
-                    quarantined: false,
-                },
-                false,
-            );
-        }
-        if attempt == 1 && cache_on {
-            // Consult the cache: the start-of-run snapshot plus this
-            // shard's own within-run stores (cross-shard stores are
-            // invisible by design — their timing is
-            // schedule-dependent). An entry whose attempt history no
-            // live run under this policy could produce — more attempts
-            // than allowed, or a replay the shard's breaker would
-            // refuse mid-way — is demoted to a miss and evaluated live.
+    if cache_on {
+        // Consult the cache once the first attempt is admitted: the
+        // start-of-run snapshot plus this shard's own within-run
+        // stores (cross-shard stores are invisible by design — their
+        // timing is schedule-dependent). An entry whose attempt
+        // history no live run under this policy could produce — more
+        // attempts than allowed, or a replay the shard's breaker would
+        // refuse mid-way — is demoted to a miss and evaluated live. The
+        // admission runs on its own clone: on a miss `attempt_job`
+        // makes the same admission again.
+        let mut admitted = breaker.clone();
+        if admitted.admit() == Admission::Admit {
             let hit = local_store
                 .get(&ckey)
                 .copied()
                 .or_else(|| snapshot.get(&ckey).copied())
-                .filter(|h| h.attempts <= config.max_attempts && replayable(&probe, h.attempts));
+                .filter(|h| h.attempts <= config.max_attempts && replayable(&admitted, h.attempts));
             if let Some(hit) = hit {
+                let terminal = Terminal::new(hit.attempts, Ok(hit.time), 0);
                 return (
                     Terminal {
-                        outcome: PointOutcome {
-                            attempts: hit.attempts,
-                            result: Ok(hit.time),
-                        },
-                        short_circuited: false,
-                        timeouts: 0,
                         cached: true,
-                        quarantined: false,
+                        ..terminal
                     },
                     false,
                 );
-            }
-        }
-        if attempt >= 2 {
-            std::thread::sleep(config.backoff.delay(content, attempt));
-        }
-        let evaluated = catch_unwind(AssertUnwindSafe(|| {
-            classify_oracle_result(oracle.evaluate(seq as u64, &job.point))
-        }));
-        match evaluated {
-            Err(payload) => {
-                // Panic isolation: quarantine the job at this attempt
-                // (no retries — the panic is keyed to the job, so
-                // re-running it would panic again) and tell the caller
-                // to rebuild the poisoned oracle.
-                return (
-                    Terminal {
-                        outcome: PointOutcome {
-                            attempts: attempt,
-                            result: Err(c2_bound::Error::Simulation(format!(
-                                "oracle panicked: {}",
-                                panic_message(payload.as_ref())
-                            ))),
-                        },
-                        short_circuited: false,
-                        timeouts: 0,
-                        cached: false,
-                        quarantined: true,
-                    },
-                    true,
-                );
-            }
-            Ok(Ok(t)) => {
-                return (
-                    Terminal {
-                        outcome: PointOutcome {
-                            attempts: attempt,
-                            result: Ok(t),
-                        },
-                        short_circuited: false,
-                        timeouts: 0,
-                        cached: false,
-                        quarantined: false,
-                    },
-                    false,
-                );
-            }
-            Ok(Err(e)) => {
-                probe.on_failure();
-                if attempt < config.max_attempts {
-                    attempt += 1;
-                } else {
-                    return (
-                        Terminal {
-                            outcome: PointOutcome {
-                                attempts: attempt,
-                                result: Err(e),
-                            },
-                            short_circuited: false,
-                            timeouts: 0,
-                            cached: false,
-                            quarantined: false,
-                        },
-                        false,
-                    );
-                }
             }
         }
     }
+    let mut probe = breaker.clone();
+    attempt_job(config, &plan.jobs[seq], oracle, Some(&mut probe))
 }
 
 /// Replay one canonical job record through the shard's **real**
@@ -1456,7 +789,8 @@ fn decide_sharded_job<O: Oracle>(
 /// then a success; a non-quarantined `Err` record is `max_attempts`
 /// failures; a quarantined record ends at whichever attempt panicked;
 /// a short-circuited record is all will-retry failures plus the
-/// refused admission.
+/// refused admission. A timed-out attempt is one of those failures;
+/// `timeouts` only adds to the timeout counter.
 fn emit_job_events(
     config: &RunConfig,
     plan: &ApsPlan,
@@ -1469,7 +803,7 @@ fn emit_job_events(
     let content = plan.jobs[seq].content_key();
     if record.cached {
         let _ = cell.breaker.admit();
-        note_breaker_sink(&cell.buffer, &mut cell.breaker, Some(shard));
+        note_breaker(&cell.buffer, &mut cell.breaker, shard);
         // Replay the original computation's attempt history into the
         // breaker (the admission above was attempt 1), so the shard's
         // breaker walks the same trajectory as the run that populated
@@ -1483,7 +817,7 @@ fn emit_job_events(
             } else {
                 cell.breaker.on_failure();
             }
-            note_breaker_sink(&cell.buffer, &mut cell.breaker, Some(shard));
+            note_breaker(&cell.buffer, &mut cell.breaker, shard);
         }
         let time = *record.result.as_ref().expect("cached records are Ok");
         cell.buffer.counter_add("engine_cache_hits_total", 1);
@@ -1498,9 +832,13 @@ fn emit_job_events(
         );
         return;
     }
+    if record.timeouts > 0 {
+        cell.buffer
+            .counter_add("engine_timeouts_total", record.timeouts as u64);
+    }
     for i in 1..=record.attempts {
         let _ = cell.breaker.admit();
-        note_breaker_sink(&cell.buffer, &mut cell.breaker, Some(shard));
+        note_breaker(&cell.buffer, &mut cell.breaker, shard);
         if i == 1 && cache_on {
             cell.buffer.counter_add("engine_cache_misses_total", 1);
         }
@@ -1514,7 +852,7 @@ fn emit_job_events(
         match (&record.result, terminal_here) {
             (Ok(t), true) => {
                 cell.breaker.on_success();
-                note_breaker_sink(&cell.buffer, &mut cell.breaker, Some(shard));
+                note_breaker(&cell.buffer, &mut cell.breaker, shard);
                 cell.buffer.counter_add("engine_attempt_successes_total", 1);
                 cell.buffer.event(
                     "engine",
@@ -1528,7 +866,7 @@ fn emit_job_events(
             }
             (Err(msg), true) => {
                 cell.breaker.on_failure();
-                note_breaker_sink(&cell.buffer, &mut cell.breaker, Some(shard));
+                note_breaker(&cell.buffer, &mut cell.breaker, shard);
                 cell.buffer.counter_add("engine_attempt_failures_total", 1);
                 cell.buffer.event(
                     "engine",
@@ -1548,7 +886,7 @@ fn emit_job_events(
             }
             (_, false) => {
                 cell.breaker.on_failure();
-                note_breaker_sink(&cell.buffer, &mut cell.breaker, Some(shard));
+                note_breaker(&cell.buffer, &mut cell.breaker, shard);
                 cell.buffer.counter_add("engine_attempt_failures_total", 1);
                 cell.buffer.event(
                     "engine",
@@ -1581,7 +919,7 @@ fn emit_job_events(
     }
     if record.short_circuited {
         let _ = cell.breaker.admit();
-        note_breaker_sink(&cell.buffer, &mut cell.breaker, Some(shard));
+        note_breaker(&cell.buffer, &mut cell.breaker, shard);
         cell.buffer.counter_add("engine_short_circuits_total", 1);
         cell.buffer
             .event("engine", "job.short_circuited", &[("seq", seq.into())]);
@@ -1735,18 +1073,19 @@ fn restore_shard_breakers(
 
 impl SweepRunner {
     /// The deterministic sharded engine (DESIGN.md §10). The plan is
-    /// partitioned into shards by a pure function of its size; `N`
-    /// worker threads claim whole shards work-stealing-style and run
+    /// partitioned into shards by a pure function of its size;
+    /// [`RunConfig::parallelism`] worker threads claim whole shards
+    /// work-stealing-style and run
     /// each shard's jobs sequentially in `seq` order against a
     /// per-shard circuit breaker and content-keyed backoff. Journal
     /// records, metrics, and trace events are buffered per shard and
     /// merged in shard order after the join, and a completed run's
     /// journal is rewritten canonically (records in `seq` order via
     /// temp-file + rename) — so every artifact is bit-identical for
-    /// every thread count, and identical to the `threads: 1` serial
-    /// execution. `deadline_ms` (wall-clock, inherently
-    /// schedule-dependent) is not enforced here; `timeouts` is always
-    /// zero in sharded journals.
+    /// every thread count, and identical to the single-thread serial
+    /// execution, whenever no attempt crosses its deadline (a deadline
+    /// is wall-clock, so whether an attempt misses it is the one
+    /// schedule-dependent input; see [`attempt_job`]).
     ///
     /// `reconstruct` selects how a resumed journal is replayed:
     /// `true` (the observed path) re-emits every resumed record's full
@@ -2003,7 +1342,7 @@ impl SweepRunner {
         // The scope runs even when every job resumed: workers still
         // claim each shard to emit its `shard.finished` marker, so a
         // fully-resumed run's trace matches the uninterrupted one.
-        let nthreads = self.config.threads.min(shards.len());
+        let nthreads = self.config.parallelism().min(shards.len());
         std::thread::scope(|scope| {
             for _ in 0..nthreads {
                 let shards = &shards;
@@ -2238,12 +1577,11 @@ impl SweepRunner {
             }
         }
 
-        self.assemble_and_report(sweep, plan, terminals, resumed, breaker_trips, sink, true)
+        self.assemble_and_report(sweep, plan, terminals, resumed, breaker_trips, sink)
     }
 
-    /// Common tail of both engines: assemble the outcome, account
-    /// every terminal into the ledger, and trace `run.finish`.
-    #[allow(clippy::too_many_arguments)]
+    /// Assemble the outcome, account every terminal into the ledger,
+    /// and trace `run.finish`.
     fn assemble_and_report(
         &self,
         sweep: &dyn BackendSweep,
@@ -2252,7 +1590,6 @@ impl SweepRunner {
         resumed: usize,
         breaker_trips: usize,
         sink: &dyn MetricsSink,
-        sharded: bool,
     ) -> Result<RunSummary> {
         let completed = terminals.iter().all(|t| t.is_some());
         let results: Vec<(usize, PointOutcome)> = terminals
@@ -2271,16 +1608,12 @@ impl SweepRunner {
             None
         };
 
-        // Dead jobs split into backfilled (got a calibrated analytic
-        // estimate during assembly) and skipped (no estimate).
-        let mut backfilled_indices: std::collections::HashSet<[usize; 6]> =
-            std::collections::HashSet::new();
-        if let Some(o) = &outcome {
-            for s in &o.refinement.skipped {
-                if s.analytic_estimate.is_some() {
-                    backfilled_indices.insert(s.index);
-                }
-            }
+        for t in terminals.iter().flatten() {
+            sink.observe(
+                "engine_attempts_per_job",
+                ATTEMPTS_PER_JOB_BOUNDS,
+                t.outcome.attempts as f64,
+            );
         }
         let mut report = RunReport {
             completed,
@@ -2288,64 +1621,36 @@ impl SweepRunner {
             breaker_trips,
             ..RunReport::default()
         };
-        for (seq, terminal) in terminals.iter().enumerate() {
-            let Some(t) = terminal else { continue };
-            sink.observe(
-                "engine_attempts_per_job",
-                ATTEMPTS_PER_JOB_BOUNDS,
-                t.outcome.attempts as f64,
-            );
-            report.attempted += 1;
-            report.oracle_calls += t.outcome.attempts;
-            report.timeouts += t.timeouts;
-            if t.outcome.attempts > 1 {
-                report.retried += 1;
-            }
-            if t.short_circuited {
-                report.short_circuited += 1;
-            }
-            if t.cached {
-                report.cache_hits += 1;
-            }
-            if t.quarantined {
-                report.quarantined += 1;
-            }
-            match &t.outcome.result {
-                Ok(_) => report.succeeded += 1,
-                Err(_) => {
-                    if backfilled_indices.contains(&plan.jobs[seq].index) {
-                        report.backfilled += 1;
-                    } else {
-                        report.skipped += 1;
-                    }
-                }
-            }
-        }
-        debug_assert!(report.consistent());
-        let mut fields: Vec<(&str, c2_obs::FieldValue)> = vec![
-            ("completed", report.completed.into()),
-            ("attempted", report.attempted.into()),
-            ("succeeded", report.succeeded.into()),
-            ("skipped", report.skipped.into()),
-            ("backfilled", report.backfilled.into()),
-        ];
-        if !sharded {
-            // The legacy trace reports resume counts inline; the
-            // sharded trace must stay bit-identical across
-            // crash/resume histories, so its resume telemetry lives on
-            // the ops sink instead.
-            fields.push(("resumed", report.resumed.into()));
-        }
-        fields.extend([
-            ("retried", report.retried.into()),
-            ("oracle_calls", report.oracle_calls.into()),
-            ("timeouts", report.timeouts.into()),
-            ("short_circuited", report.short_circuited.into()),
-            ("quarantined", report.quarantined.into()),
-            ("breaker_trips", report.breaker_trips.into()),
-            ("cache_hits", report.cache_hits.into()),
-        ]);
-        sink.event("engine", "run.finish", &fields);
+        tally(
+            &mut report,
+            &plan,
+            outcome.as_ref(),
+            terminals
+                .iter()
+                .enumerate()
+                .filter_map(|(seq, t)| t.as_ref().map(|t| (seq, t))),
+        );
+        // No `resumed` field: the trace must stay bit-identical across
+        // crash/resume histories, so resume telemetry lives on the ops
+        // sink.
+        sink.event(
+            "engine",
+            "run.finish",
+            &[
+                ("completed", report.completed.into()),
+                ("attempted", report.attempted.into()),
+                ("succeeded", report.succeeded.into()),
+                ("skipped", report.skipped.into()),
+                ("backfilled", report.backfilled.into()),
+                ("retried", report.retried.into()),
+                ("oracle_calls", report.oracle_calls.into()),
+                ("timeouts", report.timeouts.into()),
+                ("short_circuited", report.short_circuited.into()),
+                ("quarantined", report.quarantined.into()),
+                ("breaker_trips", report.breaker_trips.into()),
+                ("cache_hits", report.cache_hits.into()),
+            ],
+        );
         Ok(RunSummary {
             report,
             plan,
@@ -2353,6 +1658,38 @@ impl SweepRunner {
             results,
         })
     }
+}
+
+/// Account terminal outcomes, `(seq, terminal)`, into `report`. Dead
+/// jobs split into backfilled (given a calibrated analytic estimate
+/// during assembly of `outcome`) and skipped (no estimate).
+pub(crate) fn tally<'a>(
+    report: &mut RunReport,
+    plan: &ApsPlan,
+    outcome: Option<&ApsOutcome>,
+    terminals: impl IntoIterator<Item = (usize, &'a Terminal)>,
+) {
+    let backfilled: HashSet<[usize; 6]> = outcome
+        .iter()
+        .flat_map(|o| &o.refinement.skipped)
+        .filter(|s| s.analytic_estimate.is_some())
+        .map(|s| s.index)
+        .collect();
+    for (seq, t) in terminals {
+        report.attempted += 1;
+        report.oracle_calls += t.outcome.attempts;
+        report.timeouts += t.timeouts;
+        report.retried += usize::from(t.outcome.attempts > 1);
+        report.short_circuited += usize::from(t.short_circuited);
+        report.cache_hits += usize::from(t.cached);
+        report.quarantined += usize::from(t.quarantined);
+        match &t.outcome.result {
+            Ok(_) => report.succeeded += 1,
+            Err(_) if backfilled.contains(&plan.jobs[seq].index) => report.backfilled += 1,
+            Err(_) => report.skipped += 1,
+        }
+    }
+    debug_assert!(report.consistent());
 }
 
 #[cfg(test)]

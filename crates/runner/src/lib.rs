@@ -5,9 +5,10 @@
 //! refinement stage into independent jobs; this crate executes those
 //! jobs under supervision instead of a bare sequential loop:
 //!
-//! * [`engine::SweepRunner`] — bounded-queue worker pool with
-//!   per-attempt deadlines, a watchdog that requeues stuck jobs, and
-//!   graceful drain-and-report shutdown;
+//! * [`engine::SweepRunner`] — the one execution engine: deterministic
+//!   shards of jobs on `RunConfig::parallelism()` threads, per-attempt
+//!   deadlines charged when the attempt returns, panic quarantine, and
+//!   a ledger that accounts for every job;
 //! * [`backoff::BackoffPolicy`] — exponential retry backoff with
 //!   deterministic jitter (resume replays the same schedule);
 //! * [`breaker::CircuitBreaker`] — trips after consecutive oracle
@@ -16,8 +17,8 @@
 //! * [`journal`] — a JSONL checkpoint journal flushed per terminal
 //!   outcome, so a killed sweep resumes idempotently and the merged
 //!   result is identical to an uninterrupted run;
-//! * [`shard`] — the deterministic sharded scheduler behind
-//!   `RunConfig::threads`: whole shards are work-stolen by OS threads,
+//! * [`shard`] — the deterministic partition behind the engine: whole
+//!   shards are work-stolen by OS threads,
 //!   per-shard breaker/backoff state is schedule-invariant, and
 //!   per-shard outputs merge in shard order, so the journal, metrics,
 //!   and outcome are bit-identical for every thread count;

@@ -41,13 +41,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use c2_ann::{Mlp, TrainOptions};
-use c2_bound::aps::{classify_oracle_result, ApsPlan, PointOutcome, RefinementJob};
+use c2_bound::aps::{ApsPlan, PointOutcome, RefinementJob};
 use c2_bound::backend::BackendSweep;
 use c2_bound::dse::Oracle;
 use c2_config::{OracleMode, Scenario, ScreenSpec};
 use c2_obs::{names, MetricsSink};
 
-use crate::engine::{RunReport, RunSummary, SweepRunner};
+use crate::engine::{
+    attempt_job, record_of, tally, terminal_of, RunReport, RunSummary, SweepRunner,
+};
 use crate::journal::{self, plan_fingerprint, JobRecord, JournalHeader, JournalWriter};
 use crate::{Error, Result};
 
@@ -340,12 +342,7 @@ impl SweepRunner {
 
         let budget = screen.budget.min(jobs);
         let initial = screen.initial.min(budget);
-        let parallelism = if self.config().threads > 0 {
-            self.config().threads
-        } else {
-            self.config().workers.max(1)
-        };
-        let max_attempts = self.config().max_attempts.max(1);
+        let parallelism = self.config().parallelism();
         let abort_after = self.config().abort_after;
 
         let mut appended_this_run = 0usize;
@@ -355,9 +352,11 @@ impl SweepRunner {
         let mut final_spread = 0.0f64;
 
         // One acquisition round: reuse journaled outcomes for
-        // re-selected seqs, evaluate the rest on the worker pool
-        // (claim-by-index over the seq-sorted batch, slot per index),
-        // then fold and journal in seq order.
+        // re-selected seqs, evaluate the rest on the worker threads
+        // (claim-by-index over the seq-sorted batch, slot per index,
+        // each job through the engine's attempt loop: backoff,
+        // deadline, panic quarantine — but no breaker), then fold and
+        // journal in seq order.
         let run_round = |selected: &[usize],
                          journaled: &mut BTreeMap<usize, JobRecord>,
                          evaluated: &mut BTreeMap<usize, JobRecord>,
@@ -388,6 +387,7 @@ impl SweepRunner {
                         let slots = &slots;
                         let plan = &plan;
                         let make_oracle = &make_oracle;
+                        let config = self.config();
                         scope.spawn(move || {
                             let mut oracle = make_oracle();
                             loop {
@@ -396,29 +396,13 @@ impl SweepRunner {
                                     break;
                                 }
                                 let seq = todo[i];
-                                let job = &plan.jobs[seq];
-                                let mut attempts = 0usize;
-                                let result = loop {
-                                    attempts += 1;
-                                    match classify_oracle_result(
-                                        oracle.evaluate(seq as u64, &job.point),
-                                    ) {
-                                        Ok(t) => break Ok(t),
-                                        Err(e) if attempts >= max_attempts => {
-                                            break Err(journal::error_message(&e))
-                                        }
-                                        Err(_) => {}
-                                    }
-                                };
-                                *slots[i].lock().unwrap() = Some(JobRecord {
-                                    seq,
-                                    attempts,
-                                    timeouts: 0,
-                                    result,
-                                    short_circuited: false,
-                                    cached: false,
-                                    quarantined: false,
-                                });
+                                let (terminal, poisoned) =
+                                    attempt_job(config, &plan.jobs[seq], &mut oracle, None);
+                                if poisoned {
+                                    oracle = make_oracle();
+                                }
+                                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) =
+                                    Some(record_of(seq, &terminal));
                             }
                         });
                     }
@@ -613,38 +597,21 @@ impl SweepRunner {
             None
         };
 
-        let mut backfilled_indices: std::collections::HashSet<[usize; 6]> =
-            std::collections::HashSet::new();
-        if let Some(o) = &outcome {
-            for s in &o.refinement.skipped {
-                if s.analytic_estimate.is_some() {
-                    backfilled_indices.insert(s.index);
-                }
-            }
-        }
         let mut report = RunReport {
             completed,
             resumed,
             ..RunReport::default()
         };
-        for (&seq, record) in &evaluated {
-            report.attempted += 1;
-            report.oracle_calls += record.attempts;
-            if record.attempts > 1 {
-                report.retried += 1;
-            }
-            match &record.result {
-                Ok(_) => report.succeeded += 1,
-                Err(_) => {
-                    if backfilled_indices.contains(&plan.jobs[seq].index) {
-                        report.backfilled += 1;
-                    } else {
-                        report.skipped += 1;
-                    }
-                }
-            }
-        }
-        debug_assert!(report.consistent());
+        let terminals: Vec<(usize, _)> = evaluated
+            .iter()
+            .map(|(&seq, record)| (seq, terminal_of(record)))
+            .collect();
+        tally(
+            &mut report,
+            &plan,
+            outcome.as_ref(),
+            terminals.iter().map(|(seq, t)| (*seq, t)),
+        );
 
         let screen_report = ScreenReport {
             plan_jobs: jobs,
@@ -868,6 +835,51 @@ mod tests {
             std::fs::read(&clean_path).unwrap(),
             std::fs::read(&killed_path).unwrap()
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Fails every call at key 0 by panicking; prices the rest.
+    struct PanicAtKeyZero;
+
+    impl Oracle for PanicAtKeyZero {
+        fn evaluate(&mut self, key: u64, point: &DesignPoint) -> c2_bound::Result<f64> {
+            if key == 0 {
+                panic!("injected oracle panic at key {key}");
+            }
+            fast_oracle()(point)
+        }
+    }
+
+    #[test]
+    fn oracle_panic_is_quarantined_and_the_run_completes() {
+        let dir = std::env::temp_dir().join(format!("c2-screen-panic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("panic.journal.jsonl");
+        let runner = SweepRunner::new(RunConfig::default()).unwrap();
+        let (summary, _) = runner
+            .run_screened(
+                &quick_aps(),
+                &tiny_screen(),
+                || PanicAtKeyZero,
+                Some(&path),
+                false,
+                &NullSink,
+                &NullSink,
+            )
+            .expect("the screened run survives the panic");
+        assert!(summary.report.completed);
+        assert!(summary.report.consistent());
+        assert_eq!(summary.report.quarantined, 1);
+        assert!(summary.outcome.is_some());
+        let contents = journal::load(&path).unwrap();
+        let record = contents.records.iter().find(|r| r.seq == 0).unwrap();
+        assert!(record.quarantined, "key 0 is journaled as quarantined");
+        assert_eq!(record.attempts, 1, "a quarantined job is never retried");
+        assert!(record
+            .result
+            .as_ref()
+            .unwrap_err()
+            .contains("injected oracle panic at key 0"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

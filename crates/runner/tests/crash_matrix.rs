@@ -42,6 +42,22 @@ fn aps() -> Aps {
     Aps::new(C2BoundModel::example_big_data(), DesignSpace::tiny())
 }
 
+/// The tiny space with 32 ROB sizes: 96 jobs, six per shard (seq k,
+/// k+16, ..., k+80), so consecutive jobs share a shard's breaker.
+fn wide_aps() -> Aps {
+    let tiny = DesignSpace::tiny();
+    let space = DesignSpace::new(
+        tiny.a0().to_vec(),
+        tiny.a1().to_vec(),
+        tiny.a2().to_vec(),
+        tiny.n().to_vec(),
+        tiny.issue().to_vec(),
+        (1..=32).map(|i| 8 * i).collect(),
+    )
+    .unwrap();
+    Aps::new(C2BoundModel::example_big_data(), space)
+}
+
 /// Cheap deterministic pricer — the matrix exercises storage, not the
 /// cycle model.
 fn pricer(p: &DesignPoint) -> c2_bound::Result<f64> {
@@ -451,14 +467,12 @@ fn a_panicking_oracle_is_quarantined_without_losing_the_sweep() {
 
 #[test]
 fn quarantine_failures_count_toward_the_breaker_trip_threshold() {
-    // The first two keys panic; with a 9-job plan (one job per shard)
-    // the sharded breakers see one job each, so run the *legacy*
-    // engine (one shared breaker): two consecutive quarantines must
-    // trip it, the cooldown short-circuits the next jobs, and the
-    // half-open probe then recovers on the healthy tail.
+    // Keys 0 and 16 panic; they are the first two jobs of shard 0 of
+    // the 96-job plan, so two consecutive quarantines must trip that
+    // shard's breaker, the cooldown short-circuits its next jobs, and
+    // the half-open probe then recovers on the healthy tail.
     let runner = SweepRunner::new(RunConfig {
-        workers: 1,
-        threads: 0,
+        threads: 1,
         max_attempts: 3,
         breaker: BreakerPolicy {
             trip_threshold: 2,
@@ -470,9 +484,9 @@ fn quarantine_failures_count_toward_the_breaker_trip_threshold() {
     .unwrap();
     let summary = runner
         .run_aps(
-            &aps(),
+            &wide_aps(),
             || PanicOracle {
-                panic_keys: vec![0, 1],
+                panic_keys: vec![0, 16],
                 calls: Arc::new(AtomicUsize::new(0)),
                 panic_calls: Arc::new(AtomicUsize::new(0)),
             },
@@ -493,6 +507,11 @@ fn quarantine_failures_count_toward_the_breaker_trip_threshold() {
         summary.report
     );
     assert!(summary.report.succeeded > 0, "the healthy tail recovers");
+    // Shard 0 itself recovers: its probe (seq 64) and the job after
+    // it (seq 80) succeed once the cooldown (seqs 32 and 48) is spent.
+    let result_of = |seq: usize| &summary.results[seq].1.result;
+    assert!(result_of(32).is_err() && result_of(48).is_err());
+    assert!(result_of(64).is_ok() && result_of(80).is_ok());
 }
 
 #[test]

@@ -65,17 +65,14 @@ fn acceptance_faults() -> FaultPlan {
     }
 }
 
-/// Engine config for the acceptance sweep: single worker (bit-equality
-/// needs a deterministic schedule), tight deadline, high breaker
-/// threshold so breaking stays out of the equality property (it gets
-/// its own tests below).
+/// Engine config for the acceptance sweep: one thread, tight
+/// deadline, high breaker threshold so breaking stays out of the
+/// equality property (it gets its own tests below).
 fn acceptance_config() -> RunConfig {
     RunConfig {
         workers: 1,
         deadline_ms: 40,
-        watchdog_tick_ms: 4,
         max_attempts: 2,
-        queue_capacity: 16,
         backoff: BackoffPolicy {
             base_ms: 1,
             factor: 2.0,
@@ -133,6 +130,14 @@ fn reference_summary() -> (ApsOutcome, RunReport) {
     (summary.outcome.unwrap(), summary.report)
 }
 
+/// The acceptance config on `threads` engine threads.
+fn acceptance_config_on(threads: usize) -> RunConfig {
+    RunConfig {
+        threads,
+        ..acceptance_config()
+    }
+}
+
 #[test]
 fn faulty_sweep_accounts_for_every_job() {
     let (outcome, report) = reference_summary();
@@ -150,35 +155,71 @@ fn faulty_sweep_accounts_for_every_job() {
     assert_eq!(report.breaker_trips, 0);
     assert_eq!(outcome.refinement.skipped.len(), 5);
     assert!(outcome.best_time.is_finite() && outcome.best_time > 0.0);
+
+    // The deadline is charged when the late attempt returns, so the
+    // ledger and the outcome do not depend on the thread count.
+    let two = run_acceptance(&acceptance_config_on(2), None, false).unwrap();
+    assert_eq!(two.report, report, "ledger at 2 threads");
+    assert_eq!(two.outcome.unwrap(), outcome, "outcome at 2 threads");
+}
+
+#[test]
+fn hung_attempts_are_journaled_as_deadline_timeouts() {
+    let path = journal_path("deadline-record");
+    let full = run_acceptance(&acceptance_config(), Some(&path), false).unwrap();
+    assert!(full.report.completed);
+    let contents = journal::load(&path).unwrap();
+    // Key 4 is the hung job: both attempts time out, and the final
+    // one fails the job with the deadline error.
+    let hung = contents.records.iter().find(|r| r.seq == 4).unwrap();
+    assert_eq!((hung.attempts, hung.timeouts), (2, 2));
+    assert_eq!(
+        hung.result.as_ref().unwrap_err(),
+        "attempt exceeded the 40 ms deadline"
+    );
+    let timed_out: usize = contents.records.iter().map(|r| r.timeouts).sum();
+    assert_eq!(timed_out, 2, "no other job crosses the deadline");
 }
 
 #[test]
 fn killed_and_resumed_run_matches_uninterrupted_run() {
     let (ref_outcome, ref_report) = reference_summary();
     // Kill after 1, 4, and 8 terminal outcomes: early (almost nothing
-    // journaled), middle, and late (one job left).
-    for kill_after in [1usize, 4, 8] {
-        let path = journal_path(&format!("kill-resume-{kill_after}"));
-        let mut crash_config = acceptance_config();
-        crash_config.abort_after = Some(kill_after);
-        let crashed = run_acceptance(&crash_config, Some(&path), false).unwrap();
-        assert!(!crashed.report.completed, "abort_after must stop the run");
-        assert!(crashed.outcome.is_none());
-        assert!(crashed.report.consistent());
-        assert_eq!(crashed.report.attempted, kill_after);
-        let journaled = journal::load(&path).unwrap();
-        assert_eq!(journaled.records.len(), kill_after);
+    // journaled), middle, and late (one job left). On 2 threads the
+    // job running on the other thread when the kill lands still
+    // finishes, so the late kill comes one job earlier there to leave
+    // work for the resume.
+    for (threads, kills) in [(1usize, [1usize, 4, 8]), (2, [1, 4, 7])] {
+        for kill_after in kills {
+            let path = journal_path(&format!("kill-resume-t{threads}-{kill_after}"));
+            let mut crash_config = acceptance_config_on(threads);
+            crash_config.abort_after = Some(kill_after);
+            let crashed = run_acceptance(&crash_config, Some(&path), false).unwrap();
+            assert!(!crashed.report.completed, "abort_after must stop the run");
+            assert!(crashed.outcome.is_none());
+            assert!(crashed.report.consistent());
+            if threads == 1 {
+                assert_eq!(crashed.report.attempted, kill_after);
+            } else {
+                // A job already running on the other thread when the
+                // kill lands still finishes and is journaled.
+                assert!(crashed.report.attempted >= kill_after);
+            }
+            let journaled = journal::load(&path).unwrap();
+            assert_eq!(journaled.records.len(), crashed.report.attempted);
 
-        let resumed = run_acceptance(&acceptance_config(), Some(&path), true).unwrap();
-        assert!(resumed.report.completed);
-        assert!(resumed.report.consistent());
-        assert_eq!(resumed.report.resumed, kill_after);
-        assert_eq!(
-            resumed.outcome.as_ref().unwrap(),
-            &ref_outcome,
-            "kill at {kill_after}: resumed outcome must be bit-identical"
-        );
-        assert_reports_equal_modulo_resumed(&resumed.report, &ref_report);
+            let resumed =
+                run_acceptance(&acceptance_config_on(threads), Some(&path), true).unwrap();
+            assert!(resumed.report.completed);
+            assert!(resumed.report.consistent());
+            assert_eq!(resumed.report.resumed, crashed.report.attempted);
+            assert_eq!(
+                resumed.outcome.as_ref().unwrap(),
+                &ref_outcome,
+                "kill at {kill_after} on {threads} threads: resumed outcome must be bit-identical"
+            );
+            assert_reports_equal_modulo_resumed(&resumed.report, &ref_report);
+        }
     }
 }
 
@@ -292,26 +333,47 @@ fn engine_matches_in_process_aps_under_identical_faults() {
 }
 
 #[test]
-fn multi_worker_pool_converges_to_the_reference_outcome() {
+fn four_threads_converge_to_the_reference_outcome() {
     // Outcomes are per-job deterministic (keyed faults, stateless
-    // pricing), so even a racy 4-worker schedule must assemble the
-    // same result; only scheduling-order counters may differ.
+    // pricing) and shards run in seq order whatever thread claims
+    // them, so a 4-thread run (`workers: 4`, `threads: 0`) assembles
+    // the same result and the same ledger.
     let (ref_outcome, ref_report) = reference_summary();
     let mut config = acceptance_config();
     config.workers = 4;
+    assert_eq!(config.parallelism(), 4);
     let summary = run_acceptance(&config, None, false).unwrap();
     assert!(summary.report.completed);
     assert!(summary.report.consistent());
     assert_eq!(summary.outcome.unwrap(), ref_outcome);
     assert_eq!(summary.report.succeeded, ref_report.succeeded);
     assert_eq!(summary.report.backfilled, ref_report.backfilled);
+    assert_eq!(summary.report, ref_report);
+}
+
+/// The tiny space with 32 ROB sizes: 96 jobs, so each of the 16
+/// shards runs six (seq k, k+16, ..., k+80) — two per issue width —
+/// and a failure streak can cross jobs inside one shard's breaker.
+fn wide_aps() -> Aps {
+    let tiny = DesignSpace::tiny();
+    let space = DesignSpace::new(
+        tiny.a0().to_vec(),
+        tiny.a1().to_vec(),
+        tiny.a2().to_vec(),
+        tiny.n().to_vec(),
+        tiny.issue().to_vec(),
+        (1..=32).map(|i| 8 * i).collect(),
+    )
+    .unwrap();
+    Aps::new(C2BoundModel::example_big_data(), space)
 }
 
 #[test]
 fn sick_backend_trips_the_breaker_and_strands_no_job() {
-    // Jobs 0..2 succeed, everything later fails: the failure streak
-    // trips the breaker, the cooldown short-circuits jobs straight to
-    // backfill, and a failed half-open probe re-trips it.
+    // In every shard the two issue-1 jobs succeed and the four wider
+    // ones fail: the failure streak trips the shard's breaker, the
+    // cooldown short-circuits jobs straight to backfill, and a failed
+    // half-open probe re-trips it.
     let pricer = |p: &DesignPoint| {
         if p.issue_width == 1 {
             Ok(1.0e6 / p.rob_size as f64)
@@ -332,23 +394,31 @@ fn sick_backend_trips_the_breaker_and_strands_no_job() {
     };
     let summary = SweepRunner::new(config)
         .unwrap()
-        .run_aps(&aps(), || pricer, None, false)
+        .run_aps(&wide_aps(), || pricer, None, false)
         .unwrap();
     let report = summary.report;
     assert!(report.completed);
     assert!(report.consistent());
-    assert_eq!(report.attempted, 9);
-    assert_eq!(report.succeeded, 3);
+    assert_eq!(report.attempted, 96);
+    assert_eq!(report.succeeded, 32);
     assert!(report.breaker_trips >= 1, "streak must trip the breaker");
+    assert_eq!(
+        report.breaker_trips, 32,
+        "each shard trips once on the streak and once on the failed probe"
+    );
     assert!(
         report.short_circuited >= 1,
         "open breaker must short-circuit at least one job"
     );
     // Short-circuited jobs never touched the oracle yet still landed
     // terminal with backfill.
-    assert_eq!(report.skipped + report.backfilled, 6);
+    assert!(summary
+        .results
+        .iter()
+        .any(|(_, o)| o.attempts == 0 && o.result.is_err()));
+    assert_eq!(report.skipped + report.backfilled, 64);
     let outcome = summary.outcome.unwrap();
-    assert_eq!(outcome.refinement.skipped.len(), 6);
+    assert_eq!(outcome.refinement.skipped.len(), 64);
     assert!(outcome
         .refinement
         .skipped

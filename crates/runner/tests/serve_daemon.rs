@@ -245,7 +245,6 @@ fn shutdown(addr: &str) {
 /// The one-shot twin of the daemon's engine configuration for `sc`.
 fn oneshot_config(sc: &Scenario, cache: &Path) -> RunConfig {
     let mut config = RunConfig::from_spec(&sc.runner).expect("runner spec");
-    config.threads = config.threads.max(1);
     config.cache_path = Some(cache.to_path_buf());
     config.with_scenario(sc.fingerprint())
 }

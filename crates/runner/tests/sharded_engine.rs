@@ -9,7 +9,7 @@
 //! journal, and never diverge the breaker/backoff trajectory from the
 //! run that originally computed the entries.
 
-use c2_bound::aps::{Aps, ApsOutcome};
+use c2_bound::aps::Aps;
 use c2_bound::dse::{DesignPoint, DesignSpace};
 use c2_bound::C2BoundModel;
 use c2_obs::{FieldValue, Recorder};
@@ -122,38 +122,6 @@ fn sharded_run_is_bit_identical_for_every_thread_count() {
             "assembled outcome must be identical at {threads} threads"
         );
     }
-}
-
-#[test]
-fn sharded_outcome_matches_the_legacy_serial_pool() {
-    // The legacy pool and the sharded engine have different trace
-    // shapes, but on a fault-free sweep the refinement outcome and the
-    // top-line ledger must agree exactly.
-    let legacy = SweepRunner::new(RunConfig {
-        workers: 1,
-        ..config(0)
-    })
-    .unwrap()
-    .run_aps(
-        &aps(),
-        || InjectedOracle::new(FaultPlan::default(), pricer).unwrap(),
-        None,
-        false,
-    )
-    .unwrap();
-    let sharded = SweepRunner::new(config(4))
-        .unwrap()
-        .run_aps(
-            &aps(),
-            || InjectedOracle::new(FaultPlan::default(), pricer).unwrap(),
-            None,
-            false,
-        )
-        .unwrap();
-    let outcome = |s: &RunSummary| -> ApsOutcome { s.outcome.clone().expect("completed") };
-    assert_eq!(outcome(&legacy), outcome(&sharded));
-    assert_eq!(legacy.report.succeeded, sharded.report.succeeded);
-    assert_eq!(legacy.report.attempted, sharded.report.attempted);
 }
 
 #[test]
@@ -322,18 +290,45 @@ fn cache_is_positional_identity_scoped() {
     assert_eq!(warm.report.cache_hits, warm.report.attempted);
 }
 
-/// Regression (review): the cache silently did nothing under the
-/// legacy pool; now a cache path with `threads == 0` is rejected at
-/// validation instead.
+/// `threads: 0` runs the one engine on `workers` threads, so a cache
+/// configured there is consulted like any other: the warm run hits on
+/// every job and evaluates nothing.
 #[test]
-fn cache_with_the_legacy_pool_is_rejected() {
-    let err = SweepRunner::new(RunConfig {
-        threads: 0,
-        cache_path: Some(scratch("rejected-cache.jsonl")),
-        ..RunConfig::default()
-    })
-    .unwrap_err();
-    assert!(matches!(err, c2_runner::Error::InvalidConfig(_)));
+fn default_thread_count_consults_the_cache() {
+    let cache = scratch("workers-cache.jsonl");
+    let calls = Arc::new(AtomicUsize::new(0));
+    let run = || {
+        let calls = Arc::clone(&calls);
+        SweepRunner::new(RunConfig {
+            threads: 0,
+            workers: 2,
+            cache_path: Some(cache.clone()),
+            ..config(0)
+        })
+        .unwrap()
+        .run_aps(
+            &aps(),
+            move || {
+                let calls = Arc::clone(&calls);
+                move |p: &DesignPoint| {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    pricer(p)
+                }
+            },
+            None,
+            false,
+        )
+        .unwrap()
+    };
+    let cold = run();
+    let cold_calls = calls.load(Ordering::SeqCst);
+    assert_eq!(cold.report.cache_hits, 0);
+    assert_eq!(cold_calls, cold.report.attempted);
+    let warm = run();
+    assert_eq!(warm.report.cache_hits, warm.report.attempted);
+    assert_eq!(warm.report.attempted, 9);
+    assert_eq!(calls.load(Ordering::SeqCst), cold_calls, "no re-evaluation");
+    assert_eq!(cold.outcome, warm.outcome);
 }
 
 /// Regression (review): a cached attempt history that the shard's
@@ -505,17 +500,16 @@ fn content_key_ignores_plan_position_but_sees_the_point() {
     );
 }
 
-/// Regression: with several legacy-pool workers racing, every retry of
-/// a given job must still be scheduled with the content-keyed delay —
-/// the delay observed in the trace equals the one recomputed from the
-/// job alone.
+/// Regression: with several threads racing, every retry of a given
+/// job must still be scheduled with the content-keyed delay — the
+/// delay observed in the trace equals the one recomputed from the job
+/// alone.
 #[test]
-fn legacy_pool_retry_delays_are_content_keyed_across_worker_counts() {
-    let delays_by_seq = |workers: usize| -> Vec<(u64, u64, u64)> {
+fn retry_delays_are_content_keyed_across_thread_counts() {
+    let delays_by_seq = |threads: usize| -> Vec<(u64, u64, u64)> {
         let recorder = Recorder::new();
         let runner = SweepRunner::new(RunConfig {
-            workers,
-            threads: 0,
+            threads,
             max_attempts: 3,
             backoff: BackoffPolicy {
                 base_ms: 5,
@@ -565,7 +559,7 @@ fn legacy_pool_retry_delays_are_content_keyed_across_worker_counts() {
     let racing = delays_by_seq(3);
     assert_eq!(
         serial, racing,
-        "retry delays must not depend on worker identity"
+        "retry delays must not depend on thread identity"
     );
 
     // And each observed delay is recomputable from the job alone.

@@ -32,7 +32,7 @@
 //! ```
 //!
 //! `run` drives the APS refinement sweep through the supervised job
-//! engine (`c2-runner`): worker pool, per-attempt deadlines, retry
+//! engine (`c2-runner`): deterministic shards, per-attempt deadlines, retry
 //! with backoff, circuit breaking, and — with `--journal` — a
 //! flushed-per-outcome checkpoint file that `--resume` picks up
 //! idempotently after a crash. `--metrics-out` records a clock-free
@@ -656,13 +656,6 @@ fn cmd_run(args: &[String]) {
     if let Some(p) = chaos {
         config.chaos = Some(p);
     }
-    if config.cache_path.is_some() && config.threads == 0 {
-        eprintln!(
-            "error: the evaluation cache requires the sharded engine; \
-             pass --threads N (N >= 1) or set runner.threads"
-        );
-        std::process::exit(2);
-    }
     match fingerprint {
         Some(fp) => config = config.with_scenario(fp),
         // The positional path keeps fingerprint-free journals for
@@ -689,13 +682,9 @@ fn cmd_run(args: &[String]) {
     }
     println!(
         "supervised sweep: {}, {} attempts/job{}{}{}",
-        if config.threads > 0 {
-            format!("{} sharded threads", config.threads)
-        } else {
-            format!(
-                "{} workers, deadline {} ms",
-                config.workers, config.deadline_ms
-            )
+        match config.deadline_ms {
+            0 => format!("{} sharded threads", config.parallelism()),
+            d => format!("{} sharded threads, deadline {d} ms", config.parallelism()),
         },
         config.max_attempts,
         match (&journal, resume) {

@@ -1,8 +1,8 @@
 //! End-to-end tests of the `c2-obs` observability layer wired through
 //! the supervised engine (satellite of DESIGN.md §7).
 //!
-//! The determinism contract under test: with `workers: 1` and a pure
-//! oracle, two identical seeded sweeps — fault injection and all —
+//! The determinism contract under test: with a pure oracle and no
+//! deadline, two identical seeded sweeps — fault injection and all —
 //! must produce **byte-identical** metrics JSON and event traces.
 //! Golden snapshots in `tests/golden/` pin the exact trace; regenerate
 //! them with `UPDATE_GOLDEN=1 cargo test --test observability`.
@@ -10,13 +10,26 @@
 use c2_bound::aps::Aps;
 use c2_bound::dse::{DesignPoint, DesignSpace};
 use c2_bound::C2BoundModel;
-use c2_obs::{Recorder, Report};
+use c2_obs::{MetricsSink, Recorder, Report};
 use c2_runner::{BackoffPolicy, BreakerPolicy, InjectedOracle, RunConfig, RunSummary, SweepRunner};
 use c2_sim::FaultPlan;
 use std::path::{Path, PathBuf};
 
+/// The tiny space with 8 ROB sizes: 24 jobs over 16 shards, so shards
+/// 0..7 run two jobs each (seq k, then the widest-issue seq k+16) and
+/// a failure streak can cross jobs inside one shard's breaker.
 fn aps() -> Aps {
-    Aps::new(C2BoundModel::example_big_data(), DesignSpace::tiny())
+    let tiny = DesignSpace::tiny();
+    let space = DesignSpace::new(
+        tiny.a0().to_vec(),
+        tiny.a1().to_vec(),
+        tiny.a2().to_vec(),
+        tiny.n().to_vec(),
+        tiny.issue().to_vec(),
+        vec![16, 32, 48, 64, 96, 128, 192, 256],
+    )
+    .unwrap();
+    Aps::new(C2BoundModel::example_big_data(), space)
 }
 
 /// Pure, clock-free pricer: widest-issue points report a wedged
@@ -34,7 +47,9 @@ fn pricer() -> impl FnMut(&DesignPoint) -> c2_bound::Result<f64> + Clone {
 
 /// Keyed oracle faults on top of the sick pricer: every 3rd job key
 /// fails at the injection layer, exercising retry + backfill on jobs
-/// the pricer itself would have served.
+/// the pricer itself would have served. Keys 2 and 5 share shards with
+/// the wedged keys 18 and 21, so those shards see a three-failure
+/// streak.
 fn faults() -> FaultPlan {
     FaultPlan {
         oracle_failure_period: Some(3),
@@ -42,15 +57,14 @@ fn faults() -> FaultPlan {
     }
 }
 
-/// `workers: 1` (the byte-identity contract), no deadlines (a watchdog
-/// expiry depends on wall time, which the trace must not), a breaker
-/// tight enough that the wedged-backend streak trips it.
+/// One thread, no deadline (whether an attempt misses it depends on
+/// wall time, which the trace must not), a breaker tight enough that
+/// the wedged-backend streak trips it.
 fn config() -> RunConfig {
     RunConfig {
         workers: 1,
         deadline_ms: 0,
         max_attempts: 2,
-        queue_capacity: 16,
         backoff: BackoffPolicy {
             base_ms: 1,
             factor: 2.0,
@@ -69,17 +83,29 @@ fn config() -> RunConfig {
 }
 
 fn run_observed(config: &RunConfig, journal: Option<&Path>, resume: bool) -> (RunSummary, Report) {
+    run_full(config, journal, resume, &c2_obs::NullSink)
+}
+
+/// [`run_observed`] that also sends the operational (recovery)
+/// telemetry to `ops`.
+fn run_full(
+    config: &RunConfig,
+    journal: Option<&Path>,
+    resume: bool,
+    ops: &dyn MetricsSink,
+) -> (RunSummary, Report) {
     let recorder = Recorder::new();
     let faults = faults();
     let pricer = pricer();
     let summary = SweepRunner::new(config.clone())
         .unwrap()
-        .run_aps_observed(
+        .run_aps_full(
             &aps(),
             move || InjectedOracle::new(faults, pricer.clone()).unwrap(),
             journal,
             resume,
             &recorder,
+            ops,
         )
         .unwrap();
     (summary, recorder.report())
@@ -203,9 +229,10 @@ fn golden_faulty_sweep_trace_and_metrics() {
     );
 }
 
-/// A crash-and-resume run records the replayed journal in its trace:
-/// the counter equals the journaled record count and a single
-/// `journal.replayed` summary event is emitted.
+/// A crash-and-resume run records the replayed journal in its
+/// operational trace (the deterministic one must not betray the crash
+/// history): the counter equals the journaled record count and a
+/// single `journal.replayed` summary event is emitted.
 #[test]
 fn resumed_run_replays_journal_into_the_trace() {
     let path = journal_path("obs-resume");
@@ -220,7 +247,9 @@ fn resumed_run_replays_journal_into_the_trace() {
         4
     );
 
-    let (resumed, report) = run_observed(&config(), Some(&path), true);
+    let ops = Recorder::new();
+    let (resumed, _) = run_full(&config(), Some(&path), true, &ops);
+    let report = ops.report();
     assert!(resumed.report.completed);
     assert_eq!(resumed.report.resumed, 4);
     assert_eq!(report.registry.counter("engine_journal_replayed_total"), 4);

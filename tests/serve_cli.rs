@@ -80,8 +80,9 @@ fn reap_daemon(child: Child) -> String {
 }
 
 /// One-shot `run` of a persisted job scenario with a fresh journal and
-/// metrics file; returns (journal bytes, metrics bytes). `--threads 1`
-/// matches the daemon's legacy-thread bump.
+/// metrics file; returns (journal bytes, metrics bytes). The artifacts
+/// are bit-identical at every thread count, so `--threads 1` need not
+/// match the daemon's.
 fn oneshot(dir: &Path, tag: &str, scenario: &Path) -> (Vec<u8>, Vec<u8>) {
     let journal = dir.join(format!("{tag}.oneshot.journal.jsonl"));
     let metrics = dir.join(format!("{tag}.oneshot.metrics.json"));
