@@ -166,8 +166,25 @@ fn faulty_sweep_accounts_for_every_job() {
 #[test]
 fn hung_attempts_are_journaled_as_deadline_timeouts() {
     let path = journal_path("deadline-record");
-    let full = run_acceptance(&acceptance_config(), Some(&path), false).unwrap();
+    let recorder = c2_obs::Recorder::new();
+    let pricer = sim_pricer();
+    let faults = acceptance_faults();
+    let full = SweepRunner::new(acceptance_config())
+        .unwrap()
+        .run_aps_observed(
+            &aps(),
+            move || InjectedOracle::new(faults, pricer.clone()).unwrap(),
+            Some(&path),
+            false,
+            &recorder,
+        )
+        .unwrap();
     assert!(full.report.completed);
+    assert_eq!(
+        recorder.report().registry.counter("engine_timeouts_total"),
+        2,
+        "the emitted timeout counter agrees with the ledger"
+    );
     let contents = journal::load(&path).unwrap();
     // Key 4 is the hung job: both attempts time out, and the final
     // one fails the job with the deadline error.
