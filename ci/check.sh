@@ -214,6 +214,29 @@ fi
 cargo test -q --test phase_accuracy
 cargo test -q --test law_validation
 
+echo "== phase mode: exact pricing over budget (DESIGN.md SS13) =="
+# A phase plan whose windows and warm-ups would simulate at least the
+# whole trace prices exactly, through the same path as full mode. fft
+# 256 on the paper_scale axes is such a plan (109% of its trace), so
+# its phase-mode sweep must choose the full-mode design.
+cargo test -q -p c2-bound --lib phase::
+cargo test -q --test phase_accuracy
+fft_scenario="${smoke_dir}/fft256-paper-scale.json"
+sed -e 's/"name": "fluidanimate"/"name": "fft"/' -e 's/"size": 100/"size": 256/' \
+    examples/scenarios/paper_scale.json > "${fft_scenario}"
+grep -q '"name": "fft"' "${fft_scenario}"
+for mode in full phase; do
+    cargo run -q --bin c2bound-tool -- run --scenario "${fft_scenario}" --threads 2 \
+        --oracle-mode "${mode}" > "${smoke_dir}/fft256-${mode}.out"
+done
+grep -q "windows would simulate" "${smoke_dir}/fft256-phase.out"
+fft_full_chosen="$(grep '^chosen:' "${smoke_dir}/fft256-full.out")"
+fft_phase_chosen="$(grep '^chosen:' "${smoke_dir}/fft256-phase.out")"
+if [ -z "${fft_full_chosen}" ] || [ "${fft_full_chosen}" != "${fft_phase_chosen}" ]; then
+    echo "error: fft 256 phase mode chose '${fft_phase_chosen}', full mode '${fft_full_chosen}'" >&2
+    exit 1
+fi
+
 echo "== analytic plan: bounded KKT area split (DESIGN.md SS6) =="
 # Twenty plans are pinned bit for bit (case, split rung, skeleton and
 # the optimum's f64 bits); the solver tests cover the domain stop.

@@ -12,7 +12,7 @@
 //! same surface, so the comparison between methods is apples-to-apples.
 
 use c2_sim::area::{AreaModel, SiliconBudget};
-use c2_sim::{ChipConfig, Simulator};
+use c2_sim::{ChipConfig, SimResult, Simulator};
 use c2_workloads::WorkloadTrace;
 
 use crate::model::C2BoundModel;
@@ -364,10 +364,22 @@ pub fn simulate_point(
     area: &AreaModel,
     budget: &SiliconBudget,
 ) -> Result<f64> {
+    Ok(simulate_design(point, workload, area, budget)?.total_cycles as f64)
+}
+
+/// The one exact pricing path: simulate the whole `workload` at
+/// `point` and return every counter. [`simulate_point`] and an exact
+/// [`PhasePlan`](crate::phase::PhasePlan) both go through here, so
+/// their prices are bit-identical.
+pub fn simulate_design(
+    point: &DesignPoint,
+    workload: &WorkloadTrace,
+    area: &AreaModel,
+    budget: &SiliconBudget,
+) -> Result<SimResult> {
     let config = chip_config_for(point, area, budget)?;
     let traces = workload.per_core_traces(point.n);
-    let result = Simulator::new(config).run(&traces)?;
-    Ok(result.total_cycles as f64)
+    Ok(Simulator::new(config).run(&traces)?)
 }
 
 /// The simulator-calibrated ground-truth surface.

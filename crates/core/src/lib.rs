@@ -85,7 +85,7 @@ pub use optimize::{
     optimize, optimize_observed, optimize_observed_tuned, optimize_tuned, OptimalDesign,
     SolverTuning, SplitSolve,
 };
-pub use phase::{PhaseEstimate, PhaseOracle, PhasePlan, PhaseSummary};
+pub use phase::{ExactReason, PhaseEstimate, PhaseOracle, PhasePlan, PhaseSummary};
 pub use scaling::{ScalingPoint, ScalingStudy};
 pub use scenario::{
     aps_from_scenario, gpu_sweep_from_scenario, law_from_scenario, model_from_scenario,

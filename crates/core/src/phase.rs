@@ -25,6 +25,11 @@
 //! averaging ratios — the same access-weighted combination
 //! [`c2_sim::SimResult::chip_camat`] uses within one run.
 //!
+//! Sampling only pays when the windows cost less than the trace: a
+//! plan whose windows and warm-ups would simulate at least every
+//! access prices exactly instead, through the same path as
+//! [`simulate_point`](crate::dse::simulate_point) ([`ExactReason`]).
+//!
 //! Detection is deterministic (same trace + seed ⇒ same clusters), so
 //! the resulting [`PhaseSummary`] can be memoized next to the eval
 //! cache and rebuilt with [`PhasePlan::from_summary`] without
@@ -36,16 +41,17 @@ use c2_sim::{SimResult, Simulator};
 use c2_trace::{MemAccess, PhaseConfig, PhaseDetector, Trace, TraceBuilder};
 use c2_workloads::WorkloadTrace;
 
-use crate::dse::{chip_config_for, DesignPoint, Oracle};
+use crate::dse::{chip_config_for, simulate_design, DesignPoint, Oracle};
 use crate::{Error, Result};
 
 /// The detected phase structure of one workload, in the exact form the
 /// eval cache memoizes: rebuilding a [`PhasePlan`] from a summary skips
 /// the k-means clustering entirely.
 ///
-/// An empty `representatives` vector encodes the *exact fallback*: the
-/// trace was too short to cluster (fewer than two intervals) and phase
-/// mode simulates the full workload unchanged.
+/// An empty `representatives` vector marks a trace too short to
+/// cluster. A clustered summary may still yield an exact plan: the
+/// over-budget rule in [`PhasePlan::from_summary`] is re-applied on
+/// every rebuild, so the memo stores only the clustering.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseSummary {
     /// Per-interval phase labels, in interval order.
@@ -54,6 +60,16 @@ pub struct PhaseSummary {
     pub representatives: Vec<usize>,
     /// Accesses per interval the detection used.
     pub interval_len: usize,
+}
+
+/// Why a [`PhasePlan`] prices the whole trace instead of phase windows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ExactReason {
+    /// Fewer than two intervals: there is nothing to cluster.
+    TooShort,
+    /// The windows and warm-ups would simulate this fraction (≥ 1) of
+    /// the trace's accesses, so sampling would cost more than the trace.
+    OverBudget(f64),
 }
 
 /// One phase's simulation unit: the measured window (warmup prefix ⧺
@@ -69,18 +85,32 @@ struct PhaseSlice {
     warmup: Option<WorkloadTrace>,
 }
 
+/// How a plan prices one design point.
+#[derive(Debug, Clone)]
+enum Pricing {
+    /// One warm-measured slice per phase, scaled by its weight
+    /// `accesses_in_phase / accesses_in_representative`; `fraction` is
+    /// the share of the trace one evaluation simulates (< 1).
+    Windows {
+        slices: Vec<PhaseSlice>,
+        weights: Vec<f64>,
+        fraction: f64,
+    },
+    /// Simulate the whole workload, exactly as
+    /// [`simulate_point`](crate::dse::simulate_point) does.
+    Exact {
+        workload: WorkloadTrace,
+        reason: ExactReason,
+    },
+}
+
 /// A workload's phase-substitution plan: one warm-measured
 /// representative slice per phase plus the weight that scales its
-/// simulated cost back up to the phase's share of the full trace.
+/// simulated cost back up to the phase's share of the full trace — or,
+/// when sampling cannot pay off, the exact full-trace fallback.
 #[derive(Debug, Clone)]
 pub struct PhasePlan {
-    /// Representative measurement unit per phase (empty when `exact`
-    /// is set).
-    slices: Vec<PhaseSlice>,
-    /// Per-phase weight `accesses_in_phase / accesses_in_representative`.
-    weights: Vec<f64>,
-    /// Exact fallback: too few intervals to cluster, simulate this.
-    exact: Option<WorkloadTrace>,
+    pricing: Pricing,
     summary: PhaseSummary,
 }
 
@@ -88,9 +118,10 @@ impl PhasePlan {
     /// Run phase detection once over `workload` and build the plan.
     ///
     /// The cluster count is clamped to the number of available
-    /// intervals; workloads with fewer than two intervals fall back to
-    /// an exact plan that simulates the full trace (phase mode is then
-    /// bit-identical to full mode).
+    /// intervals. The plan falls back to exact full-trace pricing
+    /// (phase mode is then bit-identical to full mode) when the trace
+    /// has fewer than two intervals, or when its windows and warm-ups
+    /// would simulate at least the whole trace.
     pub fn detect(workload: &WorkloadTrace, config: &PhaseConfig) -> Result<Self> {
         if config.interval_len == 0 {
             return Err(Error::InvalidParameter {
@@ -107,16 +138,7 @@ impl PhasePlan {
         let combined = workload.combined();
         let n_intervals = combined.len().div_ceil(config.interval_len.max(1));
         if n_intervals < 2 {
-            return Ok(PhasePlan {
-                slices: Vec::new(),
-                weights: Vec::new(),
-                exact: Some(workload.clone()),
-                summary: PhaseSummary {
-                    labels: Vec::new(),
-                    representatives: Vec::new(),
-                    interval_len: config.interval_len,
-                },
-            });
+            return Ok(Self::too_short(workload, config.interval_len));
         }
         let clusters = config.clusters.min(n_intervals);
         let detector = PhaseDetector::new(PhaseConfig {
@@ -131,7 +153,7 @@ impl PhasePlan {
             representatives: phases.representatives().to_vec(),
             interval_len: config.interval_len,
         };
-        Self::assemble(&combined, summary)
+        Ok(Self::assemble(workload, &combined, summary))
     }
 
     /// Rebuild a plan from a memoized summary, skipping clustering.
@@ -155,12 +177,7 @@ impl PhasePlan {
                     "phase summary does not match the workload (exact marker)".to_string(),
                 ));
             }
-            return Ok(PhasePlan {
-                slices: Vec::new(),
-                weights: Vec::new(),
-                exact: Some(workload.clone()),
-                summary,
-            });
+            return Ok(Self::too_short(workload, summary.interval_len));
         }
         let consistent = summary.labels.len() == n_intervals
             && summary
@@ -173,10 +190,29 @@ impl PhasePlan {
                 "phase summary does not match the workload".to_string(),
             ));
         }
-        Self::assemble(&combined, summary)
+        Ok(Self::assemble(workload, &combined, summary))
     }
 
-    fn assemble(combined: &Trace, summary: PhaseSummary) -> Result<Self> {
+    fn too_short(workload: &WorkloadTrace, interval_len: usize) -> Self {
+        PhasePlan {
+            pricing: Pricing::Exact {
+                workload: workload.clone(),
+                reason: ExactReason::TooShort,
+            },
+            summary: PhaseSummary {
+                labels: Vec::new(),
+                representatives: Vec::new(),
+                interval_len,
+            },
+        }
+    }
+
+    /// Price a clustered summary: weight each representative, and build
+    /// its window only if the windows and warm-ups together simulate
+    /// less than the whole trace — otherwise price exactly. This is the
+    /// one place the over-budget rule lives, so a detection and its
+    /// memo replay always reach the same decision.
+    fn assemble(workload: &WorkloadTrace, combined: &Trace, summary: PhaseSummary) -> Self {
         let len = combined.len();
         let il = summary.interval_len;
         let interval_accesses = |i: usize| -> f64 { (len - i * il).min(il) as f64 };
@@ -185,37 +221,59 @@ impl PhasePlan {
         for (i, &l) in summary.labels.iter().enumerate() {
             phase_accesses[l] += interval_accesses(i);
         }
+        // The measured window starts one interval early when a
+        // predecessor exists, so the representative is simulated behind
+        // the exact warm state it had in the full run; the warmup prefix
+        // is simulated alone and differenced away.
+        let bounds = |rep: usize| {
+            let lo = rep * il;
+            (lo.saturating_sub(il), lo, (lo + il).min(len))
+        };
+        let mut weights = Vec::with_capacity(summary.representatives.len());
+        let mut total = 0.0; // full-trace accesses, reconstructed
+        let mut simulated = 0.0; // accesses simulated per evaluation
+        for (p, &rep) in summary.representatives.iter().enumerate() {
+            let (wlo, lo, hi) = bounds(rep);
+            let w = phase_accesses[p] / interval_accesses(rep);
+            // Each evaluation simulates the window AND the warmup
+            // prefix alone (for the difference), so both count as work.
+            total += (hi - lo) as f64 * w;
+            simulated += (hi - wlo + lo - wlo) as f64;
+            weights.push(w);
+        }
+        let fraction = if total <= 0.0 { 1.0 } else { simulated / total };
+        if fraction >= 1.0 {
+            return PhasePlan {
+                pricing: Pricing::Exact {
+                    workload: workload.clone(),
+                    reason: ExactReason::OverBudget(fraction),
+                },
+                summary,
+            };
+        }
         let standalone = |accesses: &[MemAccess]| WorkloadTrace {
             serial: Trace::new(),
             parallel: rebase_slice(accesses),
         };
-        let mut slices = Vec::with_capacity(summary.representatives.len());
-        let mut weights = Vec::with_capacity(summary.representatives.len());
-        for (p, &rep) in summary.representatives.iter().enumerate() {
-            let lo = rep * il;
-            let hi = (lo + il).min(len);
-            // The measured window starts one interval early when a
-            // predecessor exists, so the representative is simulated
-            // behind the exact warm state it had in the full run; the
-            // warmup prefix is simulated alone and differenced away.
-            let wlo = lo.saturating_sub(il);
-            let warmup = if rep > 0 {
-                Some(standalone(&combined.accesses()[wlo..lo]))
-            } else {
-                None
-            };
-            weights.push(phase_accesses[p] / interval_accesses(rep));
-            slices.push(PhaseSlice {
-                window: standalone(&combined.accesses()[wlo..hi]),
-                warmup,
-            });
-        }
-        Ok(PhasePlan {
-            slices,
-            weights,
-            exact: None,
+        let slices = summary
+            .representatives
+            .iter()
+            .map(|&rep| {
+                let (wlo, lo, hi) = bounds(rep);
+                PhaseSlice {
+                    window: standalone(&combined.accesses()[wlo..hi]),
+                    warmup: (rep > 0).then(|| standalone(&combined.accesses()[wlo..lo])),
+                }
+            })
+            .collect();
+        PhasePlan {
+            pricing: Pricing::Windows {
+                slices,
+                weights,
+                fraction,
+            },
             summary,
-        })
+        }
     }
 
     /// The memoizable summary of the detection.
@@ -223,43 +281,43 @@ impl PhasePlan {
         &self.summary
     }
 
-    /// Number of phases (0 for the exact fallback).
+    /// Number of phases simulated per evaluation (0 for an exact plan).
     pub fn phase_count(&self) -> usize {
-        self.slices.len()
+        match &self.pricing {
+            Pricing::Windows { slices, .. } => slices.len(),
+            Pricing::Exact { .. } => 0,
+        }
     }
 
-    /// Whether the plan is the exact full-trace fallback.
+    /// Whether the plan prices the full trace exactly.
     pub fn is_exact(&self) -> bool {
-        self.exact.is_some()
+        matches!(self.pricing, Pricing::Exact { .. })
     }
 
-    /// Per-phase weights (`accesses_in_phase / accesses_in_rep`).
+    /// Why the plan prices exactly (`None` for a window plan).
+    pub fn exact_reason(&self) -> Option<ExactReason> {
+        match &self.pricing {
+            Pricing::Windows { .. } => None,
+            Pricing::Exact { reason, .. } => Some(*reason),
+        }
+    }
+
+    /// Per-phase weights (`accesses_in_phase / accesses_in_rep`; empty
+    /// for an exact plan).
     pub fn weights(&self) -> &[f64] {
-        &self.weights
+        match &self.pricing {
+            Pricing::Windows { weights, .. } => weights,
+            Pricing::Exact { .. } => &[],
+        }
     }
 
     /// Fraction of the full trace's accesses a single evaluation
-    /// actually simulates (1.0 for the exact fallback) — the headline
+    /// actually simulates (1.0 for an exact plan) — the headline
     /// per-oracle work reduction.
     pub fn simulated_fraction(&self) -> f64 {
-        if self.exact.is_some() {
-            return 1.0;
-        }
-        let mut total = 0.0; // full-trace accesses, reconstructed
-        let mut simulated = 0.0; // accesses simulated per evaluation
-        for (s, &w) in self.slices.iter().zip(&self.weights) {
-            let warm = s.warmup.as_ref().map_or(0, |t| t.parallel.len()) as f64;
-            let window = s.window.parallel.len() as f64;
-            // The representative proper is the window minus its warmup
-            // prefix; the evaluation simulates the window AND the
-            // prefix alone (for the difference), so both count as work.
-            total += (window - warm) * w;
-            simulated += window + warm;
-        }
-        if total <= 0.0 {
-            1.0
-        } else {
-            simulated / total
+        match &self.pricing {
+            Pricing::Windows { fraction, .. } => *fraction,
+            Pricing::Exact { .. } => 1.0,
         }
     }
 }
@@ -406,15 +464,19 @@ impl PhaseOracle {
 
     /// Full metric reconstruction at `point`.
     pub fn estimate(&self, point: &DesignPoint) -> Result<PhaseEstimate> {
-        let config = chip_config_for(point, &self.area, &self.budget)?;
         let mut est = PhaseEstimate::default();
-        if let Some(exact) = &self.plan.exact {
-            let traces = exact.per_core_traces(point.n);
-            let result = Simulator::new(config).run(&traces)?;
-            est.add(&result, 1.0);
-            return Ok(est);
-        }
-        for (slice, &w) in self.plan.slices.iter().zip(&self.plan.weights) {
+        let (slices, weights) = match &self.plan.pricing {
+            Pricing::Exact { workload, .. } => {
+                let result = simulate_design(point, workload, &self.area, &self.budget)?;
+                est.add(&result, 1.0);
+                return Ok(est);
+            }
+            Pricing::Windows {
+                slices, weights, ..
+            } => (slices, weights),
+        };
+        let config = chip_config_for(point, &self.area, &self.budget)?;
+        for (slice, &w) in slices.iter().zip(weights) {
             let traces = slice.window.per_core_traces(point.n);
             let result = Simulator::new(config.clone()).run(&traces)?;
             est.add(&result, w);
@@ -446,7 +508,7 @@ impl Oracle for PhaseOracle {
 mod tests {
     use super::*;
     use crate::dse::simulate_point;
-    use c2_workloads::{fluidanimate::FluidAnimate, stencil::Stencil2D, Workload};
+    use c2_workloads::{fft::Fft, fluidanimate::FluidAnimate, stencil::Stencil2D, Workload};
 
     fn point() -> DesignPoint {
         DesignPoint {
@@ -466,34 +528,104 @@ mod tests {
         )
     }
 
+    /// A window plan's slices and weights.
+    fn windows(plan: &PhasePlan) -> (&[PhaseSlice], &[f64]) {
+        match &plan.pricing {
+            Pricing::Windows {
+                slices, weights, ..
+            } => (slices, weights),
+            Pricing::Exact { reason, .. } => panic!("expected a window plan, got {reason:?}"),
+        }
+    }
+
     #[test]
     fn detect_builds_weighted_slices() {
         let w = FluidAnimate::new(120, 6, 1, 2).generate();
         let plan = PhasePlan::detect(&w, &PhaseConfig::default()).unwrap();
         assert!(!plan.is_exact());
+        assert_eq!(plan.exact_reason(), None);
         assert!(plan.phase_count() >= 1 && plan.phase_count() <= 4);
         assert!(plan.weights().iter().all(|&x| x >= 1.0 - 1e-9));
         // Weighted representative accesses (window minus warmup
-        // prefix) reconstruct the full access count.
-        let total: f64 = plan
-            .slices
-            .iter()
-            .zip(plan.weights())
-            .map(|(s, &x)| {
-                let warm = s.warmup.as_ref().map_or(0, |t| t.parallel.len());
-                (s.window.parallel.len() - warm) as f64 * x
-            })
-            .sum();
+        // prefix) reconstruct the full access count, and the slices
+        // simulate exactly the fraction the plan reports.
+        let (slices, weights) = windows(&plan);
+        let mut total = 0.0;
+        let mut simulated = 0.0;
+        for (s, &x) in slices.iter().zip(weights) {
+            let warm = s.warmup.as_ref().map_or(0, |t| t.parallel.len());
+            total += (s.window.parallel.len() - warm) as f64 * x;
+            simulated += (s.window.parallel.len() + warm) as f64;
+        }
         assert!(
             (total - w.combined().len() as f64).abs() < 1e-6,
             "{total} vs {}",
             w.combined().len()
         );
+        assert_eq!(plan.simulated_fraction(), simulated / total);
         // Every non-first representative carries a one-interval warmup.
-        for (s, &rep) in plan.slices.iter().zip(&plan.summary().representatives) {
+        for (s, &rep) in slices.iter().zip(&plan.summary().representatives) {
             assert_eq!(s.warmup.is_some(), rep > 0);
         }
         assert!(plan.simulated_fraction() < 1.0);
+    }
+
+    /// fft 256's four windows and warm-ups would simulate ~109% of its
+    /// trace: the plan must price exactly instead.
+    #[test]
+    fn over_budget_plan_prices_exactly() {
+        let w = Fft::new(256, 1).generate();
+        let plan = PhasePlan::detect(&w, &PhaseConfig::default()).unwrap();
+        assert!(plan.is_exact());
+        assert_eq!(plan.simulated_fraction(), 1.0);
+        assert_eq!(plan.phase_count(), 0);
+        assert!(plan.weights().is_empty());
+        let Some(ExactReason::OverBudget(fraction)) = plan.exact_reason() else {
+            panic!(
+                "expected an over-budget plan, got {:?}",
+                plan.exact_reason()
+            );
+        };
+        assert!((1.0..1.2).contains(&fraction), "window fraction {fraction}");
+        // The clustering is still recorded, so the memo replays it.
+        assert!(!plan.summary().representatives.is_empty());
+
+        // The detected summary rebuilds the same exact plan.
+        let again = PhasePlan::from_summary(&w, plan.summary().clone()).unwrap();
+        assert_eq!(again.summary(), plan.summary());
+        assert_eq!(again.exact_reason(), plan.exact_reason());
+
+        // Exact pricing is the full simulator's price, bit for bit.
+        let (area, budget) = chip();
+        let oracle = PhaseOracle::new(again, area, budget);
+        for n in [1, 64, 512] {
+            let p = DesignPoint {
+                a0: 0.5,
+                a1: 0.05,
+                a2: 0.1,
+                n,
+                issue_width: 4,
+                rob_size: 64,
+            };
+            let full = simulate_point(&p, &w, &area, &budget).unwrap();
+            let priced = oracle.price(&p).unwrap();
+            assert_eq!(priced.to_bits(), full.to_bits(), "N = {n}");
+        }
+    }
+
+    /// The plans behind `BENCH_phase.json` and the accuracy pins stay
+    /// under budget, so they keep measuring window pricing.
+    #[test]
+    fn pinned_workloads_keep_window_plans() {
+        for (w, want) in [
+            (Stencil2D::new(96, 96, 2, 1).generate(), 0.11),
+            (FluidAnimate::new(300, 12, 1, 1).generate(), 0.43),
+        ] {
+            let plan = PhasePlan::detect(&w, &PhaseConfig::default()).unwrap();
+            assert!(!plan.is_exact());
+            let fraction = plan.simulated_fraction();
+            assert!((fraction - want).abs() < 0.01, "fraction {fraction}");
+        }
     }
 
     #[test]
@@ -502,11 +634,12 @@ mod tests {
         assert!(w.combined().len() < 2 * 1000);
         let plan = PhasePlan::detect(&w, &PhaseConfig::default()).unwrap();
         assert!(plan.is_exact());
+        assert_eq!(plan.exact_reason(), Some(ExactReason::TooShort));
         assert_eq!(plan.phase_count(), 0);
         assert_eq!(plan.simulated_fraction(), 1.0);
         // The round trip through the summary preserves exactness.
         let again = PhasePlan::from_summary(&w, plan.summary().clone()).unwrap();
-        assert!(again.is_exact());
+        assert_eq!(again.exact_reason(), Some(ExactReason::TooShort));
         // Exact phase mode equals full mode exactly.
         let (area, budget) = chip();
         let oracle = PhaseOracle::new(plan, area, budget);

@@ -69,8 +69,9 @@ pub const STEAL_BATCH_MAX_SHARDS: &str = "steal_batch_max_shards";
 // cache memo), never what the sweep computed — the computed outcome is
 // pinned separately by the phase-accuracy tests.
 
-/// Phases the active plan simulates per oracle call (gauge; 0 for the
-/// exact short-trace fallback). Ops sink.
+/// Phases the active plan simulates per oracle call (gauge; 0 when the
+/// plan prices exactly — a trace too short to cluster, or windows that
+/// would simulate at least the whole trace). Ops sink.
 pub const ORACLE_PHASE_COUNT: &str = "oracle_phase_count";
 
 /// Phase plans rebuilt from a memoized summary in the eval cache,
@@ -81,7 +82,7 @@ pub const ORACLE_PHASE_MEMO_HITS_TOTAL: &str = "oracle_phase_memo_hits_total";
 pub const ORACLE_PHASE_DETECTIONS_TOTAL: &str = "oracle_phase_detections_total";
 
 /// Per-mille of the full trace's accesses one oracle call actually
-/// simulates (gauge; 1000 = exact fallback). Ops sink.
+/// simulates (gauge; 1000 = exact fallback, for either reason). Ops sink.
 pub const ORACLE_PHASE_SIMULATED_PERMILLE: &str = "oracle_phase_simulated_permille";
 
 // ---------------------------------------------------------------------------

@@ -139,8 +139,9 @@ pub struct RunConfig {
     /// and stays byte-compatible with pre-scenario journals.
     pub scenario_fingerprint: Option<u64>,
     /// Test hook simulating a crash: stop (without draining) after
-    /// this many terminal outcomes this run. The journal keeps every
-    /// record flushed before the "crash".
+    /// this many terminal outcomes this run. The journal keeps exactly
+    /// that many records at any thread count; a job another thread
+    /// decides past the limit is lost, as in a real crash.
     pub abort_after: Option<usize>,
 }
 
@@ -1415,6 +1416,21 @@ impl SweepRunner {
                                     // suspect; rebuild before the next job.
                                     oracle = make_oracle();
                                 }
+                                // A terminal claims its slot before it is
+                                // journaled, so a simulated kill at k
+                                // journals exactly k records at any
+                                // thread count: one decided on another
+                                // thread past the limit is dropped, as
+                                // a real crash would lose it.
+                                let done = terminals_this_run.fetch_add(1, Ordering::SeqCst) + 1;
+                                if let Some(limit) = config.abort_after {
+                                    if done > limit {
+                                        break;
+                                    }
+                                    if done == limit {
+                                        abort.store(true, Ordering::SeqCst);
+                                    }
+                                }
                                 let record = record_of(seq, &terminal);
                                 emit_job_events(config, plan, cache_on, &record, &mut cell, i);
                                 if has_journal {
@@ -1449,12 +1465,6 @@ impl SweepRunner {
                                     seed_local_store(&mut cell.local_store, keys[pos], &terminal);
                                 }
                                 cell.results.push((seq, terminal));
-                                let done = terminals_this_run.fetch_add(1, Ordering::SeqCst) + 1;
-                                if let Some(limit) = config.abort_after {
-                                    if done >= limit {
-                                        abort.store(true, Ordering::SeqCst);
-                                    }
-                                }
                             }
                             flush_shard_pending(journal, &mut cell, i, false, ops, abort);
                             cell.buffer

@@ -59,13 +59,17 @@ pub struct Core<'t> {
 impl<'t> Core<'t> {
     /// Build a core that will execute `trace`.
     pub fn new(config: CoreConfig, trace: &'t Trace) -> Self {
+        let instruction_count = trace.instruction_count();
+        // The ROB never holds more than the core's own instructions, so
+        // a short trace gets a buffer sized to it, allocated once.
+        let rob_capacity = (config.rob_size as u64).min(instruction_count) as usize;
         Core {
             config,
             accesses: trace.accesses(),
-            instruction_count: trace.instruction_count(),
+            instruction_count,
             next_access: 0,
             next_instr: 0,
-            rob: VecDeque::with_capacity(config.rob_size),
+            rob: VecDeque::with_capacity(rob_capacity),
             retired: 0,
             finished_at: 0,
             progress: false,

@@ -102,14 +102,42 @@ use c2_bound::report::{fmt_num, Table};
 use c2_bound::scaling::ScalingStudy;
 use c2_bound::{
     aps_from_scenario, gpu_sweep_from_scenario, roofline_json, roofline_points, scale_function,
-    BackendSweep, C2BoundModel, Ceiling, GpuSmBackend, PhaseOracle, PhasePlan, PhaseSummary,
-    ProgramProfile,
+    BackendSweep, C2BoundModel, Ceiling, ExactReason, GpuSmBackend, PhaseOracle, PhasePlan,
+    PhaseSummary, ProgramProfile,
 };
 use c2_config::{BackendKind, BackendSpec, LawKind, OracleMode, Scenario, SpaceSpec};
 use c2_sim::area::{AreaModel, SiliconBudget};
 use c2_sim::ChipConfig;
 use c2_speedup::scale::ScaleFunction;
 use c2_workloads::{characterize, Characterization, Workload, WorkloadTrace};
+
+/// `println!` for command output. A reader that closed the pipe early
+/// (`run … | head -1`) has all it wants: the line is dropped and the
+/// command carries on, so a sweep still finishes its journal and
+/// metrics and exits with its own status. Any other stdout error ends
+/// the process with a one-line message instead of a panic.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` with [`outln!`]'s handling of a closed stdout.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 /// The usage text, verbatim. A golden test pins it so the help a user
 /// actually sees is reviewed like any other interface change.
@@ -244,7 +272,7 @@ fn cmd_characterize(args: &[String]) {
         .map(|g| g.label())
         .unwrap_or_else(|| "derived numerically".to_string());
     t.row(vec!["g(N)".to_string(), g]);
-    println!("{}", t.render());
+    outln!("{}", t.render());
 }
 
 fn cmd_optimize(args: &[String]) {
@@ -258,7 +286,7 @@ fn cmd_optimize(args: &[String]) {
         ProgramProfile::new(1e9, f_seq, f_mem, 0.1, ScaleFunction::Power(g_exp)).expect("profile");
     model.budget = SiliconBudget::new(area, shared).expect("budget");
     let d = optimize(&model).expect("optimization");
-    println!(
+    outln!(
         "case: {:?} (g(N) {} O(N))",
         d.case,
         if model.program.g.is_at_least_linear() {
@@ -279,7 +307,7 @@ fn cmd_optimize(args: &[String]) {
         fmt_num(d.execution_time),
     ]);
     t.row(vec!["throughput W/T".to_string(), fmt_num(d.throughput)]);
-    println!("{}", t.render());
+    outln!("{}", t.render());
 }
 
 fn cmd_aps(args: &[String]) {
@@ -296,7 +324,7 @@ fn cmd_aps(args: &[String]) {
     let aps = aps_from_scenario(&sc, &ch, &chip, g).expect("scenario model");
     let area = aps.model.area;
     let budget = aps.model.budget;
-    println!(
+    outln!(
         "APS over a {}-point space; refining {} microarchitecture points with real simulations...",
         aps.space.size(),
         aps.space.issue().len() * aps.space.rob().len()
@@ -307,7 +335,7 @@ fn cmd_aps(args: &[String]) {
                 .map_err(|e| c2_bound::Error::Simulation(e.to_string()))
         })
         .expect("APS");
-    println!(
+    outln!(
         "chosen: N = {}, A0 = {} mm2, L1 = {} mm2, L2 = {} mm2, issue = {}, ROB = {}",
         outcome.chosen.n,
         fmt_num(outcome.chosen.a0),
@@ -316,14 +344,14 @@ fn cmd_aps(args: &[String]) {
         outcome.chosen.issue_width,
         outcome.chosen.rob_size
     );
-    println!(
+    outln!(
         "simulations used: {}; best simulated time: {} cycles; calibrated model error: {}%",
         outcome.simulations,
         fmt_num(outcome.best_time),
         fmt_num(100.0 * outcome.prediction_error)
     );
     let log = &outcome.refinement;
-    println!(
+    outln!(
         "refinement: {}/{} points simulated ({} retried, {} skipped, {} oracle calls, degradation: {:?})",
         log.succeeded,
         log.attempted,
@@ -406,7 +434,7 @@ fn run_supervised(
                 eprintln!("error: {e}");
                 std::process::exit(1);
             });
-        println!(
+        outln!(
             "screen report: {} true evaluations of {} candidates \
              ({} screened out, {} resumed) in {} rounds; \
              final committee spread {}{}",
@@ -680,7 +708,7 @@ fn cmd_run(args: &[String]) {
             .as_ref()
             .map(std::path::PathBuf::from);
     }
-    println!(
+    outln!(
         "supervised sweep: {}, {} attempts/job{}{}{}",
         match config.deadline_ms {
             0 => format!("{} sharded threads", config.parallelism()),
@@ -763,15 +791,20 @@ fn cmd_run(args: &[String]) {
                         std::process::exit(1);
                     });
                     let plan = oracle.plan();
-                    println!(
-                        "oracle: phase mode, {} phases, {:.1}% of the trace per evaluation{}",
+                    let fallback = match plan.exact_reason() {
+                        None => String::new(),
+                        Some(ExactReason::TooShort) => {
+                            " (trace too short to cluster; exact fallback)".to_string()
+                        }
+                        Some(ExactReason::OverBudget(fraction)) => format!(
+                            " (windows would simulate {:.1}% of the trace; exact fallback)",
+                            100.0 * fraction
+                        ),
+                    };
+                    outln!(
+                        "oracle: phase mode, {} phases, {:.1}% of the trace per evaluation{fallback}",
                         plan.phase_count(),
                         100.0 * plan.simulated_fraction(),
-                        if plan.is_exact() {
-                            " (trace too short to cluster; exact fallback)"
-                        } else {
-                            ""
-                        }
                     );
                     Some(oracle)
                 }
@@ -807,14 +840,14 @@ fn cmd_run(args: &[String]) {
             eprintln!("error: cannot write metrics to {}: {e}", path.display());
             std::process::exit(1);
         }
-        println!(
+        outln!(
             "metrics: wrote {} events and the metric registry to {}",
             report.events.len(),
             path.display()
         );
     }
     let r = &summary.report;
-    println!(
+    outln!(
         "run report: {} attempted = {} succeeded + {} skipped + {} backfilled \
          ({} resumed, {} retried, {} oracle calls, {} cache hits, {} timeouts, \
          {} short-circuited, {} quarantined, {} breaker trips)",
@@ -832,11 +865,11 @@ fn cmd_run(args: &[String]) {
         r.breaker_trips
     );
     let Some(outcome) = summary.outcome else {
-        println!("run did not complete; resume with --journal/--resume");
+        outln!("run did not complete; resume with --journal/--resume");
         return;
     };
     match sc.backend.kind {
-        BackendKind::CpuCmp => println!(
+        BackendKind::CpuCmp => outln!(
             "chosen: N = {}, A0 = {} mm2, L1 = {} mm2, L2 = {} mm2, issue = {}, ROB = {}",
             outcome.chosen.n,
             fmt_num(outcome.chosen.a0),
@@ -846,7 +879,7 @@ fn cmd_run(args: &[String]) {
             outcome.chosen.rob_size
         ),
         // Same axes, GPU-SM vocabulary (DESIGN.md §14).
-        BackendKind::GpuSm => println!(
+        BackendKind::GpuSm => outln!(
             "chosen: SMs = {}, FP32 lanes/SM = {}, occupancy target = {}%, \
              SM area = {} mm2 (L1 {} / L2 {})",
             outcome.chosen.n,
@@ -857,7 +890,7 @@ fn cmd_run(args: &[String]) {
             fmt_num(outcome.chosen.a2)
         ),
     }
-    println!(
+    outln!(
         "best simulated time: {} cycles; calibrated model error: {}%; degradation: {:?}",
         fmt_num(outcome.best_time),
         fmt_num(100.0 * outcome.prediction_error),
@@ -879,7 +912,7 @@ fn cmd_journal(args: &[String]) {
                     eprintln!("error: {e}");
                     std::process::exit(1);
                 });
-            println!(
+            outln!(
                 "compacted {path}: kept {} records and {} checkpoints \
                  (dropped {} duplicate records, {} stale checkpoints{})",
                 stats.records,
@@ -953,26 +986,26 @@ fn cmd_scenario(args: &[String]) {
                 sc.speedup.law = l;
             }
             match path {
-                None => print!("{}", sc.render_pretty()),
+                None => out!("{}", sc.render_pretty()),
                 Some(path) => {
                     if let Err(e) = std::fs::write(path, sc.render_pretty()) {
                         eprintln!("error: cannot write {path}: {e}");
                         std::process::exit(1);
                     }
-                    println!("wrote {path} (fingerprint {})", sc.fingerprint_hex());
+                    outln!("wrote {path} (fingerprint {})", sc.fingerprint_hex());
                 }
             }
         }
         Some("validate") => {
             let path = args.get(1).unwrap_or_else(|| usage());
             let sc = load_scenario(path);
-            println!("ok: {path} (fingerprint {})", sc.fingerprint_hex());
+            outln!("ok: {path} (fingerprint {})", sc.fingerprint_hex());
         }
         Some("show") => {
             let path = args.get(1).unwrap_or_else(|| usage());
             let sc = load_scenario(path);
-            print!("{}", sc.render_pretty());
-            println!("fingerprint: {}", sc.fingerprint_hex());
+            out!("{}", sc.render_pretty());
+            outln!("fingerprint: {}", sc.fingerprint_hex());
         }
         _ => usage(),
     }
@@ -992,8 +1025,8 @@ fn cmd_obs_report(args: &[String]) {
         std::process::exit(1);
     });
     match mode {
-        Some("--prom") => print!("{}", report.to_prometheus()),
-        Some("--json") => print!("{}", report.to_json()),
+        Some("--prom") => out!("{}", report.to_prometheus()),
+        Some("--json") => out!("{}", report.to_json()),
         Some(_) => usage(),
         None => {
             let reg = &report.registry;
@@ -1019,7 +1052,7 @@ fn cmd_obs_report(args: &[String]) {
                     ),
                 ]);
             }
-            println!("{}", t.render());
+            outln!("{}", t.render());
             let mut scopes: std::collections::BTreeMap<&str, u64> =
                 std::collections::BTreeMap::new();
             for ev in &report.events {
@@ -1029,7 +1062,7 @@ fn cmd_obs_report(args: &[String]) {
                 .iter()
                 .map(|(scope, n)| format!("{n} {scope}"))
                 .collect();
-            println!(
+            outln!(
                 "trace: {} events ({})",
                 report.events.len(),
                 by_scope.join(", ")
@@ -1122,7 +1155,7 @@ fn cmd_roofline(args: &[String]) {
         });
     }
     let compute_limited = rows.iter().filter(|r| r.limiting == "compute").count();
-    println!(
+    outln!(
         "roofline: {} backend, {} candidates ({} compute-limited, {} bandwidth-limited), \
          fingerprint {}",
         backend,
@@ -1140,7 +1173,7 @@ fn cmd_roofline(args: &[String]) {
         .filter(|r| r.oi.is_finite() && r.oi > 0.0 && r.bound.is_finite() && r.bound > 0.0)
         .collect();
     if chartable.is_empty() {
-        println!("(no finite candidates to chart)");
+        outln!("(no finite candidates to chart)");
     } else {
         const W: usize = 64;
         const H: usize = 16;
@@ -1180,10 +1213,10 @@ fn cmd_roofline(args: &[String]) {
             } else {
                 String::new()
             };
-            println!("{label:>10} |{}", line.iter().collect::<String>());
+            outln!("{label:>10} |{}", line.iter().collect::<String>());
         }
-        println!("{:>10} +{}", "", "-".repeat(W));
-        println!(
+        outln!("{:>10} +{}", "", "-".repeat(W));
+        outln!(
             "{:>10}  {:<w$}{:>w2$}",
             "OI (F/B):",
             format!("{:.3e}", 10f64.powf(x_lo)),
@@ -1218,7 +1251,7 @@ fn cmd_roofline(args: &[String]) {
             r.limiting.clone(),
         ]);
     }
-    println!("{}", t.render());
+    outln!("{}", t.render());
 }
 
 fn cmd_scaling(args: &[String]) {
@@ -1238,7 +1271,7 @@ fn cmd_scaling(args: &[String]) {
             fmt_num(c8[i].throughput),
         ]);
     }
-    println!("{}", t.render());
+    outln!("{}", t.render());
 }
 
 fn cmd_table1() {
@@ -1263,7 +1296,7 @@ fn cmd_table1() {
             .unwrap_or_else(|e| e.to_string());
         t.row(vec![w.name().to_string(), paper.to_string(), g]);
     }
-    println!("{}", t.render());
+    outln!("{}", t.render());
 }
 
 fn cmd_trace(args: &[String]) {
@@ -1308,7 +1341,7 @@ fn cmd_characterize_file(args: &[String]) {
     t.row(vec!["C-AMAT".to_string(), fmt_num(ch.camat_value())]);
     t.row(vec!["C".to_string(), fmt_num(ch.concurrency())]);
     t.row(vec!["IPC".to_string(), fmt_num(ch.ipc)]);
-    println!("{}", t.render());
+    outln!("{}", t.render());
 }
 
 fn cmd_multiobjective(args: &[String]) {
@@ -1344,7 +1377,7 @@ fn cmd_multiobjective(args: &[String]) {
         "EDP (J*s)".to_string(),
         fmt_num(power.edp(&base, &v, clock)),
     ]);
-    println!("{}", t.render());
+    outln!("{}", t.render());
 }
 
 fn cmd_adaptive() {
@@ -1381,8 +1414,8 @@ fn cmd_adaptive() {
             fmt_num(p.design.cpi),
         ]);
     }
-    println!("{}", t.render());
-    println!(
+    outln!("{}", t.render());
+    outln!(
         "transitions: {}; reconfiguration gain: {}%",
         plan.transitions,
         fmt_num(100.0 * plan.improvement())
@@ -1462,7 +1495,7 @@ fn write_roofline_or_die(
 ) {
     let Some(path) = path else { return };
     match emit_roofline(sweep, summary, fingerprint, path, &c2_obs::NullSink) {
-        Ok(n) => println!(
+        Ok(n) => outln!(
             "roofline: wrote {n} candidate points ({} backend) to {}",
             sweep.identity(),
             path.display()
@@ -1741,14 +1774,14 @@ fn cmd_serve(args: &[String]) {
     });
     // Flushed eagerly: scripts parse this line from a pipe to learn
     // the ephemeral port before the daemon blocks in accept.
-    println!("serving on {}", daemon.local_addr());
+    outln!("serving on {}", daemon.local_addr());
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     let report = daemon.run(&PipelineExecutor).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1);
     });
-    println!(
+    outln!(
         "drained: {} admitted ({} resumed), {} completed, {} failed, {} quarantined, \
          {} shed, {} pending for --resume",
         report.admitted,
@@ -1832,7 +1865,7 @@ fn cmd_submit(args: &[String]) {
         );
         std::process::exit(1);
     }
-    print!("{text}");
+    out!("{text}");
     if !wait {
         return;
     }
@@ -1864,7 +1897,7 @@ fn cmd_submit(args: &[String]) {
             .unwrap_or_default();
         match state.as_str() {
             "completed" => {
-                print!("{text}");
+                out!("{text}");
                 return;
             }
             "failed" | "quarantined" => {
@@ -1902,7 +1935,7 @@ fn cmd_status(args: &[String]) {
         None => "/status".to_string(),
     };
     let (status, _, response) = daemon_call(&addr, "GET", &target, &[], b"");
-    print!("{}", String::from_utf8_lossy(&response));
+    out!("{}", String::from_utf8_lossy(&response));
     if status != 200 {
         std::process::exit(1);
     }
@@ -1931,7 +1964,7 @@ fn cmd_shutdown(args: &[String]) {
         std::process::exit(2);
     };
     let (status, _, response) = daemon_call(&addr, "POST", "/shutdown", &[], b"");
-    print!("{}", String::from_utf8_lossy(&response));
+    out!("{}", String::from_utf8_lossy(&response));
     if status != 200 {
         std::process::exit(1);
     }

@@ -122,6 +122,48 @@ fn unknown_workload_is_usage_error() {
     assert!(!out.status.success());
 }
 
+/// A reader that closes the pipe after the first line (`run … | head
+/// -1`) must not make the tool panic: the dropped report lines are
+/// simply not written, and the sweep still finishes its artifacts.
+#[test]
+fn closed_stdout_ends_run_quietly() {
+    use std::io::BufRead as _;
+    use std::process::Stdio;
+
+    let dir = std::env::temp_dir().join(format!("c2bound-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let journal = dir.join("sweep.jsonl");
+    let metrics = dir.join("metrics.json");
+    let mut child = tool()
+        .args([
+            "run",
+            "--scenario",
+            concat!(env!("CARGO_MANIFEST_DIR"), "/examples/scenarios/quick.json"),
+            "--journal",
+            journal.to_str().unwrap(),
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .expect("read the first line");
+    // The reader is dropped here, closing the pipe before the sweep
+    // writes its report.
+    assert!(first.starts_with("supervised sweep:"), "{first}");
+    let out = child.wait_with_output().expect("wait");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(out.status.success(), "{err}");
+    assert!(journal.exists() && metrics.exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn run_journals_and_resumes_idempotently() {
     let dir = std::env::temp_dir().join(format!("c2bound-cli-run-{}", std::process::id()));

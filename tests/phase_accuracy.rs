@@ -225,11 +225,14 @@ fn fluidanimate_phase_summary_is_golden() {
 
 /// The oracle used by the identity properties: a real phase plan over
 /// a real workload, so every sweep below exercises the same estimator
-/// the CLI's `--oracle-mode phase` does.
+/// the CLI's `--oracle-mode phase` does. fluidanimate 300 simulates
+/// 43% of its trace per evaluation, so it stays a window plan; a plan
+/// over budget would price exactly and cover no window pricing.
 fn sweep_oracle() -> PhaseOracle {
     let (area, budget) = chip();
-    let w = workload("fluidanimate", 120);
+    let w = workload("fluidanimate", 300);
     let plan = PhasePlan::detect(&w, &PhaseConfig::default()).unwrap();
+    assert!(!plan.is_exact(), "the identity sweeps must price windows");
     PhaseOracle::new(plan, area, budget)
 }
 
