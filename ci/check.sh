@@ -218,9 +218,9 @@ echo "== phase mode: exact pricing over budget (DESIGN.md SS13) =="
 # A phase plan whose windows and warm-ups would simulate at least the
 # whole trace prices exactly, through the same path as full mode. fft
 # 256 on the paper_scale axes is such a plan (109% of its trace), so
-# its phase-mode sweep must choose the full-mode design.
+# its phase-mode sweep must choose the full-mode design. (The
+# phase_accuracy pins run in the simulator block above.)
 cargo test -q -p c2-bound --lib phase::
-cargo test -q --test phase_accuracy
 fft_scenario="${smoke_dir}/fft256-paper-scale.json"
 sed -e 's/"name": "fluidanimate"/"name": "fft"/' -e 's/"size": 100/"size": 256/' \
     examples/scenarios/paper_scale.json > "${fft_scenario}"

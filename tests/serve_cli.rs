@@ -310,15 +310,28 @@ fn sigterm_drains_gracefully_and_resume_finishes_the_backlog() {
 fn phase_mode_jobs_match_oneshot_run_and_never_alias_full_mode() {
     let dir = temp_dir("phase");
     let jobs = dir.join("jobs");
-    let full_sc = write_scenario(&dir, "full.json", "fluidanimate", 120);
+    let full_sc = write_scenario(&dir, "full.json", "fluidanimate", 300);
     let phase_sc = dir.join("phase.json");
     {
         let mut sc = Scenario::default();
         sc.workload.name = "fluidanimate".into();
-        sc.workload.size = 120;
+        sc.workload.size = 300;
         sc.space = SpaceSpec::tiny();
         sc.oracle.mode = OracleMode::Phase;
         std::fs::write(&phase_sc, sc.render_pretty()).expect("write scenario");
+        // fluidanimate 300 simulates 43% of its trace per evaluation, so
+        // the served phase job prices windows, not the exact fallback.
+        let w = c2bound::workloads::workload_from_spec(&sc.workload)
+            .expect("known workload")
+            .generate();
+        let config = c2bound::trace::PhaseConfig {
+            interval_len: sc.oracle.phase.interval_len as usize,
+            clusters: sc.oracle.phase.clusters as usize,
+            seed: sc.oracle.phase.seed,
+            ..c2bound::trace::PhaseConfig::default()
+        };
+        let plan = c2bound::model::PhasePlan::detect(&w, &config).unwrap();
+        assert!(!plan.is_exact(), "the served phase job must price windows");
     }
     let (daemon, addr) = spawn_daemon(&jobs, &["--executors", "1"]);
 
